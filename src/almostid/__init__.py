@@ -40,9 +40,6 @@ from .precision import (
     const_pi,
     elem,
     rational,
-    rational_add,
-    rational_mul,
-    rational_reduce,
     wrap,
 )
 from .series import (
@@ -100,9 +97,6 @@ __all__ = [
     "r_correction",
     "ramanujan_constant",
     "rational",
-    "rational_add",
-    "rational_mul",
-    "rational_reduce",
     "recurrence_factor",
     "scan",
     "target",

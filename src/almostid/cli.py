@@ -17,10 +17,9 @@ repeated runs with the same configuration emit byte-identical reports.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 import click
 from mpmath import mp, mpf
@@ -32,30 +31,10 @@ from . import series as series_mod
 from .errors import ConvergenceError, DomainError
 from .precision import PrecisionContext, wrap
 
-_GALLERY_ITEMS = (
-    "all", "ramanujan37", "ramanujan58", "ramanujan163",
-    "triangle_l", "e_pi_minus_pi", "borwein", "hickerson",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    digits: int = 40
-    format: str = "text"
-    out_path: Optional[str] = None
-    n_range: tuple = ()
-    bases: tuple = (2,)
-    functions: tuple = ()
-    s_values: tuple = ()
-    x_values: tuple = ()
-    k_range: tuple = ()
-    u_values: tuple = ()
-    item: str = "all"
-    harmonic: bool = False
-    residual_tol: Optional[str] = None
-    h_override: Optional[str] = None
-    extras: dict = field(default_factory=dict)
+_GALLERY_NAMED = ("ramanujan37", "ramanujan58", "ramanujan163",
+                  "triangle_l", "e_pi_minus_pi", "borwein")
+_HICKERSON = tuple(f"hickerson{n}" for n in range(1, 18))
+_GALLERY_ITEMS = ("all", *_GALLERY_NAMED, "hickerson")
 
 
 def parse_int_range(text: str):
@@ -104,170 +83,78 @@ def _parse_decimal(text: str, what: str):
         raise DomainError(f"bad {what} {text!r}, expected a decimal")
 
 
-def _identity_ok(rows, results, config):
-    ok = all(row["pass"] for row in rows)
-    if config.residual_tol is not None:
-        ctx = PrecisionContext(digits=config.digits)
-        with mp.workdps(ctx.working_digits):
-            # parse even when already failing so junk input is always rejected
-            gate = _parse_decimal(config.residual_tol, "residual tolerance")
-            for item in results:
-                if isinstance(item, series_mod.IdentityReport):
-                    if not abs(item.residual.value) <= gate:
-                        ok = False
-    return ok
-
-
-def _run_verify(config: RunConfig, ctx: PrecisionContext):
-    (n,) = config.n_range
-    (base,) = config.bases
-    report = series_mod.verify_identity(n, base, ctx)
-    rows = [report_mod.identity_row(report)]
-    ok = _identity_ok(rows, [report], config)
-    return rows[0], rows, report_mod.IDENTITY_COLUMNS, ok
-
-
-def _run_scan(config: RunConfig, ctx: PrecisionContext):
-    results = series_mod.scan(config.n_range, config.bases, ctx)
-    rows = [report_mod.identity_row(item) for item in results]
-    ok = _identity_ok(rows, results, config)
-    return rows, rows, report_mod.IDENTITY_COLUMNS, ok
-
-
-def _run_mellin(config: RunConfig, ctx: PrecisionContext):
-    rows = []
-    threshold = mellin_mod.pass_threshold(ctx)
-    for fid in config.functions:
-        for s_text in config.s_values:
-            s = _parse_s(s_text)
-            try:
-                rows.append(report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx)))
-            except ConvergenceError as exc:
-                rows.append(report_mod.error_row(
-                    report_mod.MELLIN_COLUMNS, kind="transform", function=fid,
-                    s=s_text, error=str(exc)))
-    if config.harmonic:
-        for fid in config.functions:
-            if fid not in ("g1", "g2"):
-                continue
-            for s_text in config.s_values:
-                s = _parse_s(s_text)
-                try:
-                    err = mellin_mod.harmonic_factor_check(fid, s, ctx)
-                    with mp.workdps(ctx.working_digits):
-                        s_big = wrap(mpf(s.numerator) / s.denominator, ctx)
-                        passed = bool(err.value < threshold)
-                    rows.append(report_mod.harmonic_row(fid, s_big, err, passed))
-                except ConvergenceError as exc:
-                    rows.append(report_mod.error_row(
-                        report_mod.MELLIN_COLUMNS, kind="harmonic", function=fid,
-                        s=s_text, error=str(exc)))
-    ok = all(row["pass"] for row in rows)
-    return rows, rows, report_mod.MELLIN_COLUMNS, ok
-
-
-def _run_dual(config: RunConfig, ctx: PrecisionContext):
-    rows = []
-    for n in config.n_range:
-        for x_text in config.x_values:
-            try:
-                rows.append(report_mod.dual_row(mellin_mod.dual_check(n, x_text, ctx)))
-            except ConvergenceError as exc:
-                rows.append(report_mod.error_row(
-                    report_mod.DUAL_COLUMNS, n=n, x=x_text, error=str(exc)))
-    ok = all(row["pass"] for row in rows)
-    return rows, rows, report_mod.DUAL_COLUMNS, ok
-
-
-def _run_lemma(config: RunConfig, ctx: PrecisionContext):
-    rows = []
+def _identity_context(command: str, digits: int, residual_tol):
+    """Context and parsed --residual-tol gate (None when absent) for verify/scan."""
+    if digits < 20:
+        raise DomainError(f"{command} needs digits >= 20 to resolve the deltas, got {digits}")
+    ctx = PrecisionContext(digits=digits)
     with mp.workdps(ctx.working_digits):
-        h_value = (
-            mpf(10) ** (-mpf(ctx.digits) / 3)
-            if config.h_override is None
-            else _parse_decimal(config.h_override, "step h")
-        )
-        bound = wrap(10 * h_value**2, ctx)
-        h_big = wrap(h_value, ctx)
-    for n in config.n_range:
-        for k in config.k_range:
-            for u_text in config.u_values:
-                residual = mellin_mod.lemma_check(n, k, u_text, ctx, h=h_big)
-                passed = bool(residual.value < bound.value)
-                rows.append(report_mod.lemma_row(
-                    n, k, u_text, h_big, residual, bound, passed))
-    ok = all(row["pass"] for row in rows)
-    return rows, rows, report_mod.LEMMA_COLUMNS, ok
+        gate = (None if residual_tol is None
+                else _parse_decimal(residual_tol, "residual tolerance"))
+    return ctx, gate
 
 
-def _gallery_work_items(item: str):
-    if item == "hickerson":
-        return [("hickerson", n) for n in range(1, 18)]
-    if item != "all":
-        return [(item, None)]
-    items = [("ramanujan37", None), ("ramanujan58", None), ("ramanujan163", None),
-             ("triangle_l", None), ("e_pi_minus_pi", None), ("borwein", None)]
-    items += [("hickerson", n) for n in range(1, 18)]
-    return items
+def _rows(columns, cells, row_of, label_of):
+    """The cell -> row loop of every subcommand.
 
-
-def _run_gallery(config: RunConfig, ctx: PrecisionContext):
-    rows = []
-    for item, sub in _gallery_work_items(config.item):
-        try:
-            if item.startswith("ramanujan"):
-                entry = gallery_mod.ramanujan_constant(int(item[len("ramanujan"):]), ctx)
-            elif item in ("triangle_l", "e_pi_minus_pi"):
-                entry = gallery_mod.misc_constant(item, ctx)
-            elif item == "borwein":
-                entry = gallery_mod.borwein_sum(ctx)
-            else:
-                entry = gallery_mod.hickerson(sub, ctx)
-            rows.append(report_mod.gallery_row(entry))
-        except ConvergenceError as exc:
-            label = item if sub is None else f"{item}{sub}"
-            rows.append(report_mod.error_row(
-                report_mod.GALLERY_COLUMNS, item=label, digits=ctx.digits,
-                error=str(exc)))
-    ok = all(row["pass"] for row in rows)
-    return rows, rows, report_mod.GALLERY_COLUMNS, ok
-
-
-def run(config: RunConfig) -> int:
-    """Execute a configuration; returns the process exit status (0 or 1).
-
-    DomainError propagates to the caller, which maps it to usage status 2.
+    row_of(cell) computes one row.  A ConvergenceError becomes an error row
+    holding label_of(cell); any other failure propagates.
     """
-    if config.digits < 20 and config.command in ("verify", "scan"):
-        raise DomainError(
-            f"{config.command} needs digits >= 20 to resolve the deltas, got {config.digits}")
-    if config.command == "gallery" and config.item in (
-            "all", "ramanujan37", "ramanujan58", "ramanujan163") and config.digits < 40:
-        raise DomainError(f"gallery ramanujan entries need digits >= 40, got {config.digits}")
-    ctx = PrecisionContext(digits=config.digits)
+    rows = []
+    for cell in cells:
+        try:
+            rows.append(row_of(cell))
+        except ConvergenceError as exc:
+            rows.append(report_mod.error_row(columns, **label_of(cell), error=str(exc)))
+    return rows
 
-    runner = {
-        "verify": _run_verify,
-        "scan": _run_scan,
-        "mellin": _run_mellin,
-        "dual": _run_dual,
-        "lemma": _run_lemma,
-        "gallery": _run_gallery,
-    }[config.command]
-    payload, rows, columns, ok = runner(config, ctx)
 
-    if config.format == "json":
-        text = report_mod.render_json(payload) + "\n"
-    elif config.format == "csv":
+def _emit(columns, rows, fmt, out_path, ok=True, single=False):
+    """Render and write the report, then exit 0 when ``ok`` holds and every
+    row passed, else 1.  ``single`` renders the one row as a JSON object."""
+    if fmt == "json":
+        text = report_mod.render_json(rows[0] if single else rows) + "\n"
+    elif fmt == "csv":
         text = report_mod.render_csv(rows, columns)
     else:
         text = report_mod.render_text(rows, columns)
-
-    if config.out_path:
-        Path(config.out_path).write_text(text, encoding="utf-8")
+    if out_path:
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
-    return 0 if ok else 1
+    sys.exit(0 if ok and all(row["pass"] for row in rows) else 1)
+
+
+def _identity_rows(results, ctx, gate):
+    """Rows of verify/scan, and whether every residual is within the gate."""
+    ok = True
+    if gate is not None:
+        with mp.workdps(ctx.working_digits):
+            ok = all(abs(item.residual.value) <= gate for item in results
+                     if isinstance(item, series_mod.IdentityReport))
+    rows = _rows(report_mod.IDENTITY_COLUMNS, results, report_mod.identity_row,
+                 lambda item: {"n": item.n, "base": item.base_m})
+    return rows, ok
+
+
+def _gallery_entry(item: str, ctx: PrecisionContext):
+    if item.startswith("ramanujan"):
+        return gallery_mod.ramanujan_constant(int(item[len("ramanujan"):]), ctx)
+    if item.startswith("hickerson"):
+        return gallery_mod.hickerson(int(item[len("hickerson"):]), ctx)
+    if item == "borwein":
+        return gallery_mod.borwein_sum(ctx)
+    return gallery_mod.misc_constant(item, ctx)
+
+
+@contextmanager
+def _usage_errors():
+    # option parsing and the computation itself both raise DomainError,
+    # which is a usage error: status 2
+    try:
+        yield
+    except DomainError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _common_options(fn):
@@ -279,16 +166,6 @@ def _common_options(fn):
     fn = click.option("--out", "out_path", type=click.Path(dir_okay=False),
                       default=None, help="Write the report to a file instead of stdout.")(fn)
     return fn
-
-
-def _dispatch(build):
-    # build() parses free-form option strings, so it must sit inside the
-    # DomainError -> usage-status-2 guard together with run() itself
-    try:
-        code = run(build())
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    sys.exit(code)
 
 
 @click.group()
@@ -305,13 +182,13 @@ def main():
 @_common_options
 def verify(n_text, base, residual_tol, digits, fmt, out_path):
     """Verify u_n = target + chained correction for one (n, base) cell."""
-    def build():
+    with _usage_errors():
         values = parse_int_list(n_text)
         if len(values) != 1:
             raise DomainError("verify takes a single n; use scan for ranges")
-        return RunConfig(command="verify", digits=digits, format=fmt, out_path=out_path,
-                         n_range=tuple(values), bases=(base,), residual_tol=residual_tol)
-    _dispatch(build)
+        ctx, gate = _identity_context("verify", digits, residual_tol)
+        rows, ok = _identity_rows([series_mod.verify_identity(values[0], base, ctx)], ctx, gate)
+        _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok, single=True)
 
 
 @main.command()
@@ -323,11 +200,12 @@ def verify(n_text, base, residual_tol, digits, fmt, out_path):
 @_common_options
 def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
     """Verify a grid of cells ordered by (base, n)."""
-    _dispatch(lambda: RunConfig(
-        command="scan", digits=digits, format=fmt, out_path=out_path,
-        n_range=tuple(parse_int_range(n_text)),
-        bases=tuple(parse_int_list(bases_text)),
-        residual_tol=residual_tol))
+    with _usage_errors():
+        n_values = parse_int_range(n_text)
+        bases = parse_int_list(bases_text)
+        ctx, gate = _identity_context("scan", digits, residual_tol)
+        rows, ok = _identity_rows(series_mod.scan(n_values, bases, ctx), ctx, gate)
+        _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok)
 
 
 @main.command()
@@ -340,10 +218,32 @@ def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
 @_common_options
 def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
     """Compare quadrature against closed forms for the transform family."""
-    _dispatch(lambda: RunConfig(
-        command="mellin", digits=digits, format=fmt, out_path=out_path,
-        functions=tuple(parse_str_list(functions_text)),
-        s_values=tuple(parse_str_list(s_text)), harmonic=harmonic))
+    with _usage_errors():
+        functions = parse_str_list(functions_text)
+        s_texts = parse_str_list(s_text)
+        ctx = PrecisionContext(digits=digits)
+        s_of = {text: _parse_s(text) for text in s_texts}
+        threshold = mellin_mod.pass_threshold(ctx)
+        cells = [("transform", fid, text) for fid in functions for text in s_texts]
+        if harmonic:
+            cells += [("harmonic", fid, text) for fid in functions if fid in ("g1", "g2")
+                      for text in s_texts]
+
+        def row_of(cell):
+            kind, fid, text = cell
+            s = s_of[text]
+            if kind == "transform":
+                return report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))
+            err = mellin_mod.harmonic_factor_check(fid, s, ctx)
+            with mp.workdps(ctx.working_digits):
+                s_big = wrap(mpf(s.numerator) / s.denominator, ctx)
+                passed = bool(err.value < threshold)
+            return report_mod.harmonic_row(fid, s_big, err, passed)
+
+        columns = report_mod.MELLIN_COLUMNS
+        rows = _rows(columns, cells, row_of,
+                     lambda cell: dict(zip(("kind", "function", "s"), cell)))
+        _emit(columns, rows, fmt, out_path)
 
 
 @main.command()
@@ -353,10 +253,14 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
 @_common_options
 def dual(n_text, x_text, digits, fmt, out_path):
     """Compare the dilate sums G_n against their residue expansions."""
-    _dispatch(lambda: RunConfig(
-        command="dual", digits=digits, format=fmt, out_path=out_path,
-        n_range=tuple(parse_int_range(n_text)),
-        x_values=tuple(parse_str_list(x_text))))
+    with _usage_errors():
+        cells = [(n, x) for n in parse_int_range(n_text) for x in parse_str_list(x_text)]
+        ctx = PrecisionContext(digits=digits)
+        columns = report_mod.DUAL_COLUMNS
+        rows = _rows(columns, cells,
+                     lambda cell: report_mod.dual_row(mellin_mod.dual_check(*cell, ctx)),
+                     lambda cell: dict(zip(("n", "x"), cell)))
+        _emit(columns, rows, fmt, out_path)
 
 
 @main.command()
@@ -368,11 +272,27 @@ def dual(n_text, x_text, digits, fmt, out_path):
 @_common_options
 def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
     """Check the antiderivative identity by central finite differences."""
-    _dispatch(lambda: RunConfig(
-        command="lemma", digits=digits, format=fmt, out_path=out_path,
-        n_range=tuple(parse_int_range(n_text)),
-        k_range=tuple(parse_int_range(k_text)),
-        u_values=tuple(parse_str_list(u_text)), h_override=h_text))
+    with _usage_errors():
+        cells = [(n, k, u) for n in parse_int_range(n_text) for k in parse_int_range(k_text)
+                 for u in parse_str_list(u_text)]
+        ctx = PrecisionContext(digits=digits)
+        with mp.workdps(ctx.working_digits):
+            h_value = (
+                mpf(10) ** (-mpf(ctx.digits) / 3)
+                if h_text is None
+                else _parse_decimal(h_text, "step h")
+            )
+            bound = wrap(10 * h_value**2, ctx)
+            h_big = wrap(h_value, ctx)
+
+        def row_of(cell):
+            residual = mellin_mod.lemma_check(*cell, ctx, h=h_big)
+            passed = bool(residual.value < bound.value)
+            return report_mod.lemma_row(*cell, h_big, residual, bound, passed)
+
+        columns = report_mod.LEMMA_COLUMNS
+        rows = _rows(columns, cells, row_of, lambda cell: dict(zip(("n", "k", "u"), cell)))
+        _emit(columns, rows, fmt, out_path)
 
 
 @main.command()
@@ -380,8 +300,16 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
 @_common_options
 def gallery(item, digits, fmt, out_path):
     """Recompute the catalogue of famous almost identities."""
-    _dispatch(lambda: RunConfig(
-        command="gallery", digits=digits, format=fmt, out_path=out_path, item=item))
+    with _usage_errors():
+        if item in ("all", "ramanujan37", "ramanujan58", "ramanujan163") and digits < 40:
+            raise DomainError(f"gallery ramanujan entries need digits >= 40, got {digits}")
+        ctx = PrecisionContext(digits=digits)
+        cells = {"all": _GALLERY_NAMED + _HICKERSON, "hickerson": _HICKERSON}.get(item, (item,))
+        columns = report_mod.GALLERY_COLUMNS
+        rows = _rows(columns, cells,
+                     lambda cell: report_mod.gallery_row(_gallery_entry(cell, ctx)),
+                     lambda cell: {"item": cell, "digits": ctx.digits})
+        _emit(columns, rows, fmt, out_path)
 
 
 if __name__ == "__main__":

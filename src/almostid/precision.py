@@ -120,18 +120,6 @@ def rational(numerator: int, denominator: int = 1) -> ExactRational:
         raise DomainError("rational denominator must be nonzero") from exc
 
 
-def rational_add(a: ExactRational, b: ExactRational) -> ExactRational:
-    return a + b
-
-
-def rational_mul(a: ExactRational, b: ExactRational) -> ExactRational:
-    return a * b
-
-
-def rational_reduce(numerator: int, denominator: int) -> ExactRational:
-    return rational(numerator, denominator)
-
-
 @dataclass(frozen=True)
 class ExactTarget:
     """Exact limit value: q when has_pi is false, q*pi when true."""

@@ -141,10 +141,6 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def parse_json(text: str):
-    return json.loads(text)
-
-
 def _csv_cell(value):
     if value is True:
         return "true"

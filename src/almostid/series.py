@@ -6,7 +6,10 @@ The central objects: the base-m sum
 
 its exact limit t_n (pi, 1, and the rational chain t_n = (n-2)/(4(n-1)) * t_{n-2}),
 and the hyperbolic correction series r_n(m) whose chained accumulation equals
-u_n - t_n.  Every truncated sum returns a rigorous tail bound.
+u_n - t_n.  Every truncated sum returns a bound on its truncation tail.  The
+bound does not cover rounding error, and the r_n tail rule is a heuristic
+for very large bases (see r_correction); ROADMAP item 3 is to make both
+rigorous.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ _MAX_TERMS = 200_000
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A truncated sum, a rigorous bound on the dropped tail, and term count."""
+    """A truncated sum, a bound on its truncation tail, and term count."""
 
     value: BigReal
     tail_bound: BigReal
@@ -180,8 +183,10 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     Terms are polynomial in k times exp(-2 k pi^2 / ln m); for large n the
     polynomial factor makes them grow before decaying, so the stopping rule
     requires the term both below tail_tol*|partial| and decreasing.  The tail
-    is bounded by twice the last included term (consecutive-term ratio is
-    eventually < 1/2 for every m >= 2).
+    is reported as twice the last included term.  That bounds the tail only
+    while the consecutive-term ratio, which tends to exp(-2 pi^2 / ln m), is
+    below 1/2; for m above about 2e12 it is not, and the reported figure can
+    undershoot the true tail (ROADMAP item 3).
     """
     _check_n(n)
     _check_base(base_m)
@@ -231,6 +236,34 @@ def recurrence_factor(n: int) -> ExactRational:
     return rational(n - 2, 4 * (n - 1))
 
 
+def _chain(n: int, base_m: int, ctx: PrecisionContext, r_memo: dict) -> SeriesValue:
+    """Sum pred(n) top down, r_n + a_n*r_{n-2} + a_n*a_{n-2}*r_{n-4} + ...
+
+    Each r_j is taken from r_memo when present and stored there otherwise, so
+    one dict shared across the cells of a base computes every r_j once.  The
+    order of operations does not depend on the memo, so neither do the digits.
+    """
+    with mp.workdps(ctx.working_digits):
+        value = mpf(0)
+        tail = mpf(0)
+        terms = 0
+        factor = rational(1)
+        j = n
+        while True:
+            if j not in r_memo:
+                r_memo[j] = r_correction(j, base_m, ctx)
+            rj = r_memo[j]
+            f = to_mpf(factor)
+            value += f * rj.value.value
+            tail += f * rj.tail_bound.value
+            terms += rj.terms_used
+            if j < 3:
+                break
+            factor *= recurrence_factor(j)
+            j -= 2
+        return SeriesValue(wrap(value, ctx), wrap(tail, ctx), terms)
+
+
 def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     """Chained correction pred(n) = r_n + (n-2)/(4(n-1)) * pred(n-2).
 
@@ -239,33 +272,12 @@ def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesVa
     """
     _check_n(n)
     _check_base(base_m)
-    with mp.workdps(ctx.working_digits):
-        value = mpf(0)
-        tail = mpf(0)
-        terms = 0
-        factor = rational(1)
-        j = n
-        while j >= 3:
-            rj = r_correction(j, base_m, ctx)
-            f = to_mpf(factor)
-            value += f * rj.value.value
-            tail += f * rj.tail_bound.value
-            terms += rj.terms_used
-            factor *= recurrence_factor(j)
-            j -= 2
-        anchor = r_correction(j, base_m, ctx)
-        f = to_mpf(factor)
-        value += f * anchor.value.value
-        tail += f * anchor.tail_bound.value
-        terms += anchor.terms_used
-        return SeriesValue(wrap(value, ctx), wrap(tail, ctx), terms)
+    return _chain(n, base_m, ctx, {})
 
 
-def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityReport:
-    """End-to-end check of u_n = t_n + chained correction for one cell."""
-    u = u_direct(n, base_m, ctx)
+def _report(n: int, base_m: int, u: SeriesValue, pred: SeriesValue,
+            ctx: PrecisionContext) -> IdentityReport:
     tgt = target(n)
-    pred = predicted_correction(n, base_m, ctx)
     with mp.workdps(ctx.working_digits):
         delta = u.value.value - tgt.to_real(ctx).value
         residual = delta - pred.value.value
@@ -283,6 +295,17 @@ def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityRepor
             digits=ctx.digits,
             passed=passed,
         )
+
+
+def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityReport:
+    """End-to-end check of u_n = t_n + chained correction for one cell.
+
+    The row passes when |residual| is within the two reported tail bounds
+    plus a slack of 10^(-digits).  The tail bounds count truncation only;
+    the slack absorbs rounding (ROADMAP item 3 is to carry that instead).
+    """
+    u = u_direct(n, base_m, ctx)
+    return _report(n, base_m, u, predicted_correction(n, base_m, ctx), ctx)
 
 
 def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
@@ -309,13 +332,18 @@ def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
 def scan(n_values, bases, ctx: PrecisionContext):
     """Verify a grid of (base, n) cells, ordered by (base_m, n), never aborting.
 
+    Every cell gets the report verify_identity would give it, but the cells of
+    one base share their r_j, so each r_j(base) is computed once per call.
     Cells that raise DomainError become ScanError entries in the result list.
     """
     results = []
     for base_m in sorted(set(bases)):
+        r_memo = {}
         for n in sorted(set(n_values)):
             try:
-                results.append(verify_identity(n, base_m, ctx))
+                u = u_direct(n, base_m, ctx)
+                pred = _chain(n, base_m, ctx, r_memo)
+                results.append(_report(n, base_m, u, pred, ctx))
             except DomainError as exc:
                 results.append(ScanError(n=n, base_m=base_m, message=str(exc)))
     return results

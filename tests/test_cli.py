@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from almostid.cli import main, parse_int_list, parse_int_range, parse_str_list
 from almostid.errors import DomainError
-from almostid.report import parse_json, render_json
+from almostid.report import render_json
 from conftest import leading_digits
 
 
@@ -153,8 +153,8 @@ class TestScanCommand:
     def test_json_round_trip(self, runner):
         result = runner.invoke(
             main, ["scan", "--n", "2..3", "--digits", "30", "--format", "json"])
-        rows = parse_json(result.output)
-        assert parse_json(render_json(rows)) == rows
+        rows = json.loads(result.output)
+        assert json.loads(render_json(rows)) == rows
 
 
 class TestMellinCommand:
@@ -306,3 +306,30 @@ class TestOutFile:
         assert result.exit_code == 0
         assert result.output == ""
         assert json.loads(out.read_text())["n"] == 4
+
+
+class TestErrorRows:
+    @pytest.mark.parametrize("args, expected", [
+        (["mellin", "--functions", "g2", "--s", "0.25"],
+         [{"kind": "transform", "function": "g2", "s": "0.25", "numeric": "",
+           "closed": "", "abs_err": "", "pass": False, "error": "no convergence"}]),
+        (["mellin", "--functions", "g1,fn3", "--s", "1/4", "--harmonic"],
+         [{"kind": kind, "function": fid, "s": "1/4", "numeric": "", "closed": "",
+           "abs_err": "", "pass": False, "error": "no convergence"}
+          for kind, fid in [("transform", "g1"), ("transform", "fn3"), ("harmonic", "g1")]]),
+        (["dual", "--n", "1..2", "--x", "0.3"],
+         [{"n": n, "x": "0.3", "direct": "", "expansion": "", "abs_err": "",
+           "pass": False, "error": "no convergence"} for n in (1, 2)]),
+    ])
+    def test_convergence_error_becomes_error_row(self, runner, monkeypatch, args, expected):
+        import almostid.mellin as mellin_mod
+        from almostid.errors import ConvergenceError
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no convergence")
+
+        for name in ("mellin_check", "harmonic_factor_check", "dual_check"):
+            monkeypatch.setattr(mellin_mod, name, fail)
+        result = runner.invoke(main, args + ["--digits", "25", "--format", "json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == expected

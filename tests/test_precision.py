@@ -15,9 +15,6 @@ from almostid import (
     const_pi,
     elem,
     rational,
-    rational_add,
-    rational_mul,
-    rational_reduce,
 )
 
 # 50-digit reference constants, checked against any standard table.
@@ -178,18 +175,6 @@ class TestRationals:
         assert q == Fraction(1, 5)
         assert q.denominator == 5
 
-    def test_mul_known_products(self):
-        assert rational_mul(rational(1, 6), rational(1, 5)) == Fraction(1, 30)
-        assert rational_mul(rational(1, 8), rational(3, 16)) == Fraction(3, 128)
-
-    def test_add(self):
-        assert rational_add(rational(1, 6), rational(1, 3)) == Fraction(1, 2)
-
-    def test_reduce(self):
-        assert rational_reduce(21, 14) == Fraction(3, 2)
-        assert rational_reduce(4, 20) == Fraction(1, 5)
-        assert rational_reduce(3, 2) == Fraction(3, 2)
-
     def test_zero_denominator(self):
         with pytest.raises(DomainError):
             rational(1, 0)
@@ -199,10 +184,10 @@ class TestRationals:
     @settings(max_examples=40, deadline=None)
     def test_arithmetic_always_lowest_terms(self, a, b, c, d):
         import math
-        q = rational_add(rational(a, b), rational(c, d))
+        q = rational(a, b) + rational(c, d)
         assert q.denominator > 0
         assert math.gcd(abs(q.numerator), q.denominator) == 1
-        p = rational_mul(rational(a, b), rational(c, d))
+        p = rational(a, b) * rational(c, d)
         assert math.gcd(abs(p.numerator), p.denominator) == 1
 
 

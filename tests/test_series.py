@@ -1,6 +1,7 @@
 """Tests for the bilateral sums, exact targets, hyperbolic correction
 series, the recurrence, and grid scanning."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,32 @@ class TestScan:
         assert rows[0].n == 0 and rows[0].base_m == 2
         assert rows[0].message
         assert isinstance(rows[1], IdentityReport)
+
+    def test_reports_equal_verify_identity(self, ctx30):
+        rows = scan(range(1, 9), [2, 3, 10**6], ctx30)
+        assert len(rows) == 24
+        for rep in rows:
+            single = verify_identity(rep.n, rep.base_m, ctx30)
+            for f in fields(IdentityReport):
+                assert getattr(rep, f.name) == getattr(single, f.name), (rep.n, rep.base_m, f.name)
+
+    def test_each_r_term_computed_once_per_base(self, ctx30, monkeypatch):
+        import almostid.series as series_mod
+
+        real = series_mod.r_correction
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(series_mod, "r_correction", counting)
+        scan(range(1, 7), [2, 3], ctx30)
+        assert sorted(calls) == [(j, m) for j in range(1, 7) for m in (2, 3)]
+        calls.clear()
+        # a lone cell still walks its own chain: one r_j per same-parity j
+        verify_identity(30, 2, ctx30)
+        assert sorted(calls) == [(j, 2) for j in range(2, 31, 2)]
 
     def test_deterministic(self, ctx30):
         a = scan([1, 4], [2, 4], ctx30)
