@@ -3,19 +3,22 @@
 Routes verified against each other:
   * mellin_numeric  - direct integration of f(x) x^{s-1} after x = e^t
   * mellin_closed   - the trigonometric closed forms on the real axis
-  * harmonic_factor_check - the dilate-sum transform against closed/(2^s - 1)
+  * harmonic_factor_check - the transform of F(x) = sum_{k>=1} g(2^k x), built
+    node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1)
   * g_direct vs g_expansion - dilate sums against their residue expansions
   * lemma_check     - the antiderivative identity via finite differences
 
 All integrands become analytic and exponentially decaying in both directions
-after the substitution, where the trapezoid rule converges geometrically; the
-refinement loop halves the step until successive estimates agree.
+after the substitution, where the trapezoid rule converges geometrically; one
+refinement loop serves both quadratures, halving the step until successive
+estimates agree.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -26,6 +29,10 @@ from .precision import BigReal, PrecisionContext, to_mpf, wrap
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
 
 _FN_RE = re.compile(r"^fn(\d+)$")
+
+# largest step of a first trapezoid level, and the cap on its node count
+_STEP = mpf("0.5")
+_MAX_NODES = 10**5
 
 
 @dataclass(frozen=True)
@@ -112,27 +119,20 @@ def _decay_rates(kind, n, s):
     return s, 1 - s
 
 
-def _refine_trapezoid(f, t_left, t_right, tol, max_levels=14):
+def _refine_trapezoid(level_sum, n, h, tol, max_levels=14):
     """Trapezoid sums with step halving until successive estimates agree.
 
-    Previously evaluated nodes are reused; only midpoints are added per level.
-    Geometric convergence holds for integrands analytic in a strip around the
-    real line, which every substituted integrand here is.
+    ``level_sum(n, h, first)`` sums the nodes that are new at step h (n
+    steps): all of them, ends halved, when ``first``, else the midpoints of
+    the previous level.  Geometric convergence holds for integrands analytic
+    in a strip around the real line, which every substituted integrand is.
     """
-    span = t_right - t_left
-    n = max(8, int(mp.ceil(span / mpf("0.5"))))
-    h = span / n
-    acc = (f(t_left) + f(t_right)) / 2
-    for i in range(1, n):
-        acc += f(t_left + i * h)
+    acc = level_sum(n, h, True)
     estimate = acc * h
     for _ in range(max_levels):
-        mid = mpf(0)
-        for i in range(n):
-            mid += f(t_left + (i + mpf(1) / 2) * h)
-        acc += mid
         n *= 2
         h /= 2
+        acc += level_sum(n, h, False)
         new = acc * h
         if abs(new - estimate) < tol:
             return new
@@ -140,14 +140,25 @@ def _refine_trapezoid(f, t_left, t_right, tol, max_levels=14):
     raise ConvergenceError("trapezoid refinement did not stabilize before the level cap")
 
 
-def _quad_exp_axis(integrand, rate_l, rate_r, ctx):
+def _exp_axis(function_id, kind, n, s, ctx, step):
+    """Cutoffs t_left < t_right of f(e^t) e^{st} and the agreement tolerance;
+    a first level at ``step`` over _MAX_NODES nodes is a DomainError."""
+    _check_strip(kind, n, s, function_id)
+    rate_l, rate_r = _decay_rates(kind, n, s)
     # cutoffs sized so the dropped tails sit far below the agreement target;
     # the +25 absorbs constant and slowly-varying (logarithmic) prefactors
     target_exp = (ctx.digits + 10) * mp.ln(10)
     t_left = -((target_exp + 25) / rate_l + 5)
     t_right = (target_exp + 25) / rate_r + 5
-    tol = mpf(10) ** (-(ctx.digits + 5))
-    return _refine_trapezoid(integrand, t_left, t_right, tol)
+    nodes = (t_right - t_left) / step
+    if nodes > _MAX_NODES:
+        lo, hi = _strip_bounds(kind, n)
+        raise DomainError(
+            f"s = {mp.nstr(s, 12)} is too near an edge of the strip ({mp.nstr(lo, 6)}, "
+            f"{mp.nstr(hi, 6)}) of {function_id}: the first trapezoid level would "
+            f"have {mp.nstr(nodes, 3)} nodes, over the cap of {_MAX_NODES}"
+        )
+    return t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
 
 
 def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -155,14 +166,21 @@ def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     kind, n = parse_function_id(function_id)
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        _check_strip(kind, n, sv, function_id)
+        t_left, t_right, tol = _exp_axis(function_id, kind, n, sv, ctx, _STEP)
         f = _direct_fn(kind, n)
-        rate_l, rate_r = _decay_rates(kind, n, sv)
 
         def integrand(t):
             return f(mp.exp(t)) * mp.exp(sv * t)
 
-        return wrap(_quad_exp_axis(integrand, rate_l, rate_r, ctx), ctx)
+        def level_sum(steps, h, first):
+            total = (integrand(t_left) + integrand(t_right)) / 2 if first else mpf(0)
+            for j in range(1, steps, 1 if first else 2):
+                total += integrand(t_left + j * h)
+            return total
+
+        span = t_right - t_left
+        steps = max(8, int(mp.ceil(span / _STEP)))
+        return wrap(_refine_trapezoid(level_sum, steps, span / steps, tol), ctx)
 
 
 def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -231,109 +249,31 @@ def mellin_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
 # ---------------------------------------------------------------------------
 # dilate sums F(x) = sum_{k>=1} g(2^k x)
 
-_SMALL = mpf(1) / 8
-_BIG = mpf(8)
 
+def _dilate_nodes(g, h, top, bottom, stride, period):
+    """Yield (j, F(e^{jh})) for j = top, top - stride, ... down to bottom.
 
-def _dilate_sum(kind, x, eps):
-    """Sum of g(2^k x) over k >= 1 with absolute truncation error < 3*eps.
-
-    Three blocks, each with an alternating/geometric remainder bound:
-      args < 1/8   - Taylor coefficients times closed-form geometric power sums
-      args in [1/8, 8) - direct evaluation (at most seven terms)
-      args >= 8    - asymptotic series in 1/arg, again with geometric k-sums
-
-    Equal to term-by-term summation; exists because the harmonic-factor
-    quadrature evaluates this at thousands of nodes.
+    F(x) = g(2x) + F(2x) with F = 0 past ``top``: a literal partial sum of
+    g(2^k x), where 2x is the node ``period`` places back in the stream
+    (period * stride * h = ln 2).  Only the last ``period`` values are held.
     """
-    total = mpf(0)
-    K0 = 0
-    if 2 * x < _SMALL:
-        K0 = int(mp.floor(mp.log(_SMALL / x, 2)))
-        while mp.ldexp(x, K0) >= _SMALL:
-            K0 -= 1
-        while mp.ldexp(x, K0 + 1) < _SMALL:
-            K0 += 1
-        z0 = mp.ldexp(x, K0)  # largest small-block argument, in [1/16, 1/8)
-        w = mp.ldexp(mpf(1), -K0)
-        if kind == "g2":
-            # sum 1/(1+v) = K0 + sum_i (-1)^i P_i,  P_i = sum_k v_k^i
-            zp = mpf(1)
-            wp = mpf(1)
-            tp = mpf(1)
-            sgn = -1
-            while True:
-                zp *= z0
-                wp *= w
-                tp /= 2
-                total += sgn * zp * (1 - wp) / (1 - tp)
-                if 2 * zp * z0 < eps:
-                    break
-                sgn = -sgn
-            total += K0
-        else:
-            # sum (pi - 2 atan(sqrt(v))) = K0*pi - 2 sum_i (-1)^i Q_i/(2i+1)
-            rt_z0 = mp.sqrt(z0)
-            rt_w = mp.sqrt(w)
-            rt2 = mp.sqrt(mpf(2))
-            zp = mpf(1)
-            wp = mpf(1)
-            tp = mpf(1)
-            i = 0
-            sgn = -1  # carries the leading -2 sign folded with (-1)^i
-            while True:
-                q = rt_z0 * zp * (1 - rt_w * wp) / (1 - tp / rt2)
-                total += sgn * 2 * q / (2 * i + 1)
-                if 7 * rt_z0 * zp * z0 < eps:
-                    break
-                i += 1
-                zp *= z0
-                wp *= w
-                tp /= 2
-                sgn = -sgn
-            total += K0 * mp.pi
-
-    g = _g1 if kind == "g1" else _g2
-    y = mp.ldexp(x, K0 + 1)
-    while y < _BIG:
-        total += g(y)
-        y *= 2
-
-    # tail block: arguments y*2^j, j >= 0, all >= 8 (or huge if x itself is)
-    iv = 1 / y
-    if kind == "g2":
-        # 1/(1+v) = sum_{i>=1} (-1)^{i+1} v^{-i}
-        ivp = mpf(1)
-        tp = mpf(1)
-        sgn = 1
-        while True:
-            ivp *= iv
-            tp /= 2
-            total += sgn * ivp / (1 - tp)
-            if 2 * ivp * iv < eps:
-                break
-            sgn = -sgn
-    else:
-        # 2 atan(v^{-1/2}) = 2 sum_{i>=0} (-1)^i v^{-(i+1/2)}/(2i+1)
-        rt_iv = mp.sqrt(iv)
-        rt2 = mp.sqrt(mpf(2))
-        ivp = mpf(1)
-        tp = mpf(1)
-        i = 0
-        sgn = 1
-        while True:
-            total += sgn * 2 * rt_iv * ivp / ((2 * i + 1) * (1 - tp / rt2))
-            if 7 * rt_iv * ivp * iv < eps:
-                break
-            i += 1
-            ivp *= iv
-            tp /= 2
-            sgn = -sgn
-    return total
+    window = deque(maxlen=period)
+    for j in range(top, bottom - 1, -stride):
+        value = g(2 * mp.exp(j * h))
+        if len(window) == period:
+            value += window[0]
+        window.append(value)
+        yield j, value
 
 
 def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     """|quadrature of the dilate sum  -  closed form/(2^s - 1)|.
+
+    The grid on t = ln x has step ln2/2, ln2/4, ... and ends on whole
+    multiples of ln2/2, so each node's F is g(2x) plus the F of the node ln 2
+    to its right.  Taking F = 0 past t_right drops about F(e^{t_right}) at
+    every node, which integrates to about the integrand at t_right over s:
+    the order of the interval truncation already accepted.
 
     Only g1 and g2 have closed transforms available here; the fn family's
     dilate-sum expansion coefficients are deliberately out of scope.
@@ -343,14 +283,24 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal
         raise DomainError("harmonic factor check supports g1 and g2 only")
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        _check_strip(kind, None, sv, function_id)
-        rate_l, rate_r = _decay_rates(kind, None, sv)
-        eps = mpf(10) ** (-ctx.working_digits)
+        h0 = mp.ln(2) / 2
+        t_left, t_right, tol = _exp_axis(function_id, kind, None, sv, ctx, h0)
+        lo = int(mp.floor(t_left / h0))
+        hi = int(mp.ceil(t_right / h0))
+        g = _direct_fn(kind, None)
 
-        def integrand(t):
-            return _dilate_sum(kind, mp.exp(t), eps) * mp.exp(sv * t)
+        def level_sum(n, h, first):
+            scale = n // (hi - lo)
+            stride = 1 if first else 2
+            top, bottom = hi * scale, lo * scale
+            total = mpf(0)
+            for j, value in _dilate_nodes(g, h, top - stride + 1, bottom + stride - 1,
+                                          stride, 2 * scale // stride):
+                term = value * mp.exp(sv * j * h)
+                total += term / 2 if first and j in (top, bottom) else term
+            return total
 
-        quad = _quad_exp_axis(integrand, rate_l, rate_r, ctx)
+        quad = _refine_trapezoid(level_sum, hi - lo, h0, tol)
         closed = mellin_closed(function_id, s, ctx).value / (mpf(2) ** sv - 1)
         return wrap(abs(quad - closed), ctx)
 

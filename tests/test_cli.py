@@ -5,6 +5,7 @@ determinism."""
 import csv
 import io
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -182,6 +183,15 @@ class TestMellinCommand:
             main, ["mellin", "--functions", "g2", "--s", "quarter",
                    "--digits", "30"])
         assert result.exit_code == 2
+
+    def test_s_near_strip_edge_refused_up_front(self, runner):
+        # The first trapezoid level at s = 1e-9 would have ~2e11 nodes.
+        start = time.perf_counter()
+        result = runner.invoke(
+            main, ["mellin", "--functions", "g2", "--s", "1e-9", "--digits", "30"])
+        assert result.exit_code == 2
+        assert "over the cap" in result.output
+        assert time.perf_counter() - start < 1
 
     def test_harmonic_rows_appended(self, runner):
         result = runner.invoke(

@@ -24,7 +24,7 @@ from almostid import (
     parse_function_id,
     pass_threshold,
 )
-from almostid.mellin import _dilate_sum, _fn, _refine_trapezoid
+from almostid.mellin import _dilate_nodes, _fn, _g1, _g2, _refine_trapezoid
 
 
 class TestParseFunctionId:
@@ -149,52 +149,80 @@ class TestQuadratureAgainstClosed:
             assert abs(hi.value - ref) < mpf(10) ** (-35)
 
 
+def _trapezoid_levels(f, t_left):
+    """level_sum for _refine_trapezoid: f at t_left + j h, ends halved."""
+
+    def level_sum(n, h, first):
+        total = mpf(0)
+        for j in range(0, n + 1) if first else range(1, n, 2):
+            term = f(t_left + j * h)
+            total += term / 2 if first and j in (0, n) else term
+        return total
+
+    return level_sum
+
+
 class TestRefineTrapezoid:
     def test_known_integral(self):
         # integral of sech over [-80, 80] is pi up to ~1e-34 truncation
         with mp.workdps(45):
-            got = _refine_trapezoid(mp.sech, mpf(-80), mpf(80), mpf(10) ** (-30))
+            got = _refine_trapezoid(_trapezoid_levels(mp.sech, mpf(-80)), 320,
+                                    mpf(1) / 2, mpf(10) ** (-30))
             assert abs(got - mp.pi) < mpf(10) ** (-28)
 
     def test_level_cap_raises(self):
         with mp.workdps(45):
             with pytest.raises(ConvergenceError):
                 _refine_trapezoid(
-                    lambda t: 1 / (1 + t**2), mpf(-10), mpf(10),
-                    mpf(10) ** (-40), max_levels=1,
+                    _trapezoid_levels(lambda t: 1 / (1 + t**2), mpf(-10)), 40,
+                    mpf(1) / 2, mpf(10) ** (-40), max_levels=1,
                 )
 
 
-class TestDilateSum:
+class TestNodeCap:
+    # A first trapezoid level over 10^5 nodes is refused before any node is
+    # evaluated; at s = 1e-9 it would have ~2e11.
+    def test_mellin_numeric(self, ctx30):
+        with pytest.raises(DomainError, match=r"s = 1\.0e-9 .* strip \(0\.0, 1\.0\) of g2"):
+            mellin_numeric("g2", Fraction(1, 10**9), ctx30)
+
+    def test_harmonic_factor_check(self, ctx30):
+        with pytest.raises(DomainError, match=r"strip \(0\.0, 0\.5\) of g1"):
+            harmonic_factor_check("g1", Fraction(1, 2) - Fraction(1, 10**9), ctx30)
+
+
+class TestDilateNodes:
     @pytest.mark.parametrize("kind", ["g1", "g2"])
-    @pytest.mark.parametrize(
-        "x", [mpf("1e-25"), mpf(1) / 16, mpf("0.37"), mpf(5), mpf(65536)]
-    )
-    def test_matches_naive_summation(self, kind, x):
-        # The blockwise evaluator must equal plain term-by-term summation.
-        from almostid.mellin import _g1, _g2
+    @pytest.mark.parametrize("steps_per_ln2, stride", [(2, 1), (8, 2)])
+    def test_nodes_are_literal_partial_sums(self, kind, steps_per_ln2, stride):
+        # Every streamed F(e^{jh}) must equal the plain sum of g(2^k x) over
+        # the k whose node j + (k-1) ln2/h does not pass the right end, both
+        # for a first level (every node) and a later one (odd nodes only).
         g = _g1 if kind == "g1" else _g2
+        top, bottom = 30 * steps_per_ln2 + 1, -60 * steps_per_ln2 + 1
         with mp.workdps(45):
-            eps = mpf(10) ** (-45)
-            fast = _dilate_sum(kind, x, eps)
-            naive = mpf(0)
-            y = x
-            k = 0
-            while True:
-                k += 1
-                y *= 2
-                naive += g(y)
-                tail = 2 / mp.sqrt(2 * y) / (1 - 1 / mp.sqrt(mpf(2))) if kind == "g1" else 1 / y
-                if tail < mpf(10) ** (-44):
-                    break
-            assert abs(fast - naive) < mpf(10) ** (-38) * max(1, abs(naive))
+            h = mp.ln(2) / steps_per_ln2
+            nodes = dict(_dilate_nodes(g, h, top, bottom, stride,
+                                       steps_per_ln2 // stride))
+            last_window = range(top, top - steps_per_ln2, -stride)
+            inner = (top - 3 * steps_per_ln2, top - 20 * steps_per_ln2 - stride, bottom)
+            for j in (*last_window, *inner):
+                x = mp.exp(j * h)
+                literal = mpf(0)
+                for k in range(1, (top - j) // steps_per_ln2 + 2):
+                    literal += g(2**k * x)
+                assert abs(nodes[j] - literal) < mpf(10) ** (-40) * max(1, abs(literal))
 
 
 class TestHarmonicFactor:
-    def test_g2_example(self, ctx30):
-        err = harmonic_factor_check("g2", Fraction(3, 8), ctx30)
-        with mp.workdps(60):
-            assert err.value < mpf(10) ** (-25)
+    @pytest.mark.parametrize("fid, s, digits", [
+        *[(fid, s, 30) for fid in ("g1", "g2") for s in ("1/8", "1/4", "3/8")],
+        ("g1", "1/8", 60),
+    ])
+    def test_matches_closed_form(self, fid, s, digits):
+        err = harmonic_factor_check(fid, Fraction(s), PrecisionContext(digits=digits))
+        with mp.workdps(2 * digits):
+            assert err.value < mpf(10) ** (-(digits + 10))
 
     def test_fn_rejected(self, ctx30):
         with pytest.raises(DomainError):
