@@ -94,18 +94,19 @@ def _identity_context(command: str, digits: int, residual_tol):
     return ctx, gate
 
 
-def _rows(columns, cells, row_of, label_of):
-    """The cell -> row loop of every subcommand.
+def _rows(columns, cells, rows_of, labels_of):
+    """The cell -> rows loop of every subcommand.
 
-    row_of(cell) computes one row.  A ConvergenceError becomes an error row
-    holding label_of(cell); any other failure propagates.
+    rows_of(cell) computes the rows of one cell.  A ConvergenceError gives one
+    error row per label in labels_of(cell); any other failure propagates.
     """
     rows = []
     for cell in cells:
         try:
-            rows.append(row_of(cell))
+            rows += rows_of(cell)
         except ConvergenceError as exc:
-            rows.append(report_mod.error_row(columns, **label_of(cell), error=str(exc)))
+            rows += [report_mod.error_row(columns, **label, error=str(exc))
+                     for label in labels_of(cell)]
     return rows
 
 
@@ -125,15 +126,25 @@ def _emit(columns, rows, fmt, out_path, ok=True, single=False):
     sys.exit(0 if ok and all(row["pass"] for row in rows) else 1)
 
 
-def _identity_rows(results, ctx, gate):
-    """Rows of verify/scan, and whether every residual is within the gate."""
+def _identity_rows(bases, reports_of, n_values, ctx, gate):
+    """Rows of verify/scan, and whether every residual is within the gate.
+
+    reports_of(base) computes the reports of the cells (n, base), one base at
+    a time; a ConvergenceError gives each cell of that base an error row.
+    """
     ok = True
-    if gate is not None:
-        with mp.workdps(ctx.working_digits):
-            ok = all(abs(item.residual.value) <= gate for item in results
-                     if isinstance(item, series_mod.IdentityReport))
-    rows = _rows(report_mod.IDENTITY_COLUMNS, results, report_mod.identity_row,
-                 lambda item: {"n": item.n, "base": item.base_m})
+
+    def rows_of(base):
+        nonlocal ok
+        reports = reports_of(base)
+        if gate is not None:
+            with mp.workdps(ctx.working_digits):
+                ok = ok and all(abs(item.residual.value) <= gate for item in reports
+                                if isinstance(item, series_mod.IdentityReport))
+        return [report_mod.identity_row(item) for item in reports]
+
+    rows = _rows(report_mod.IDENTITY_COLUMNS, bases, rows_of,
+                 lambda base: [{"n": n, "base": base} for n in n_values])
     return rows, ok
 
 
@@ -187,7 +198,8 @@ def verify(n_text, base, residual_tol, digits, fmt, out_path):
         if len(values) != 1:
             raise DomainError("verify takes a single n; use scan for ranges")
         ctx, gate = _identity_context("verify", digits, residual_tol)
-        rows, ok = _identity_rows([series_mod.verify_identity(values[0], base, ctx)], ctx, gate)
+        rows, ok = _identity_rows([base], lambda m: [series_mod.verify_identity(values[0], m, ctx)],
+                                  values, ctx, gate)
         _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok, single=True)
 
 
@@ -204,7 +216,9 @@ def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
         n_values = parse_int_range(n_text)
         bases = parse_int_list(bases_text)
         ctx, gate = _identity_context("scan", digits, residual_tol)
-        rows, ok = _identity_rows(series_mod.scan(n_values, bases, ctx), ctx, gate)
+        rows, ok = _identity_rows(sorted(set(bases)),
+                                  lambda m: series_mod.scan(n_values, [m], ctx),
+                                  sorted(set(n_values)), ctx, gate)
         _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok)
 
 
@@ -229,20 +243,20 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
             cells += [("harmonic", fid, text) for fid in functions if fid in ("g1", "g2")
                       for text in s_texts]
 
-        def row_of(cell):
+        def rows_of(cell):
             kind, fid, text = cell
             s = s_of[text]
             if kind == "transform":
-                return report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))
+                return [report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))]
             err = mellin_mod.harmonic_factor_check(fid, s, ctx)
             with mp.workdps(ctx.working_digits):
                 s_big = wrap(mpf(s.numerator) / s.denominator, ctx)
                 passed = bool(err.value < threshold)
-            return report_mod.harmonic_row(fid, s_big, err, passed)
+            return [report_mod.harmonic_row(fid, s_big, err, passed)]
 
         columns = report_mod.MELLIN_COLUMNS
-        rows = _rows(columns, cells, row_of,
-                     lambda cell: dict(zip(("kind", "function", "s"), cell)))
+        rows = _rows(columns, cells, rows_of,
+                     lambda cell: [dict(zip(("kind", "function", "s"), cell))])
         _emit(columns, rows, fmt, out_path)
 
 
@@ -258,8 +272,8 @@ def dual(n_text, x_text, digits, fmt, out_path):
         ctx = PrecisionContext(digits=digits)
         columns = report_mod.DUAL_COLUMNS
         rows = _rows(columns, cells,
-                     lambda cell: report_mod.dual_row(mellin_mod.dual_check(*cell, ctx)),
-                     lambda cell: dict(zip(("n", "x"), cell)))
+                     lambda cell: [report_mod.dual_row(mellin_mod.dual_check(*cell, ctx))],
+                     lambda cell: [dict(zip(("n", "x"), cell))])
         _emit(columns, rows, fmt, out_path)
 
 
@@ -285,13 +299,13 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
             bound = wrap(10 * h_value**2, ctx)
             h_big = wrap(h_value, ctx)
 
-        def row_of(cell):
+        def rows_of(cell):
             residual = mellin_mod.lemma_check(*cell, ctx, h=h_big)
             passed = bool(residual.value < bound.value)
-            return report_mod.lemma_row(*cell, h_big, residual, bound, passed)
+            return [report_mod.lemma_row(*cell, h_big, residual, bound, passed)]
 
         columns = report_mod.LEMMA_COLUMNS
-        rows = _rows(columns, cells, row_of, lambda cell: dict(zip(("n", "k", "u"), cell)))
+        rows = _rows(columns, cells, rows_of, lambda cell: [dict(zip(("n", "k", "u"), cell))])
         _emit(columns, rows, fmt, out_path)
 
 
@@ -307,8 +321,8 @@ def gallery(item, digits, fmt, out_path):
         cells = {"all": _GALLERY_NAMED + _HICKERSON, "hickerson": _HICKERSON}.get(item, (item,))
         columns = report_mod.GALLERY_COLUMNS
         rows = _rows(columns, cells,
-                     lambda cell: report_mod.gallery_row(_gallery_entry(cell, ctx)),
-                     lambda cell: {"item": cell, "digits": ctx.digits})
+                     lambda cell: [report_mod.gallery_row(_gallery_entry(cell, ctx))],
+                     lambda cell: [{"item": cell, "digits": ctx.digits}])
         _emit(columns, rows, fmt, out_path)
 
 

@@ -7,9 +7,7 @@ The central objects: the base-m sum
 its exact limit t_n (pi, 1, and the rational chain t_n = (n-2)/(4(n-1)) * t_{n-2}),
 and the hyperbolic correction series r_n(m) whose chained accumulation equals
 u_n - t_n.  Every truncated sum returns a bound on its truncation tail.  The
-bound does not cover rounding error, and the r_n tail rule is a heuristic
-for very large bases (see r_correction); ROADMAP item 3 is to make both
-rigorous.
+bound does not cover rounding error; ROADMAP item 3 is to carry that too.
 """
 
 from __future__ import annotations
@@ -180,13 +178,14 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     n = 2l:       (2 pi/(ln m (n-1))) * sum_k c_k * 2 k pi / sinh(2 k pi^2 / ln m)
     n = 2l+1 >= 3:(2 pi/(ln m (n-1))) * sum_k b_k * 2 k pi / cosh(2 k pi^2 / ln m)
 
-    Terms are polynomial in k times exp(-2 k pi^2 / ln m); for large n the
+    Terms are positive: a polynomial of degree n - 1 in k times
+    1/cosh(k beta) or 1/sinh(k beta), beta = 2 pi^2 / ln m.  For large n the
     polynomial factor makes them grow before decaying, so the stopping rule
-    requires the term both below tail_tol*|partial| and decreasing.  The tail
-    is reported as twice the last included term.  That bounds the tail only
-    while the consecutive-term ratio, which tends to exp(-2 pi^2 / ln m), is
-    below 1/2; for m above about 2e12 it is not, and the reported figure can
-    undershoot the true tail (ROADMAP item 3).
+    requires the term both below tail_tol*|partial| and decreasing.  From the
+    last term k on, each ratio of consecutive terms is at most
+    rho = ((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)), which falls with k;
+    summing goes on until rho < 1, and the tail is reported as the last term
+    times rho/(1 - rho), a bound on the truncation for every base.
     """
     _check_n(n)
     _check_base(base_m)
@@ -223,10 +222,12 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
             t = term(k)
             partial += t
             if prev is not None and t < prev and t < tol * abs(partial):
-                break
+                rho = (mpf(k + 1) / k) ** (n - 1) * mp.exp(-beta) * (1 + mp.exp(-2 * k * beta))
+                if rho < 1:
+                    break
             prev = t
         value = pref * partial
-        tail = 2 * pref * t
+        tail = pref * t * rho / (1 - rho)
         return SeriesValue(wrap(value, ctx), wrap(tail, ctx), k)
 
 

@@ -343,3 +343,41 @@ class TestErrorRows:
         result = runner.invoke(main, args + ["--digits", "25", "--format", "json"])
         assert result.exit_code == 1
         assert json.loads(result.output) == expected
+
+    def test_verify_convergence_error_becomes_error_row(self, runner, monkeypatch):
+        import almostid.series as series_mod
+        from almostid.errors import ConvergenceError
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(series_mod, "r_correction", fail)
+        result = runner.invoke(main, ["verify", "--n", "4", "--digits", "25", "--format", "json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "n": 4, "base": 2, "digits": "", "u": "", "target_rational": "",
+            "target_has_pi": "", "delta": "", "r_predicted": "", "residual": "",
+            "tail_bounds": "", "pass": False, "error": "no convergence"}
+
+    def test_scan_failing_base_leaves_the_others(self, runner, monkeypatch):
+        import almostid.series as series_mod
+        from almostid.errors import ConvergenceError
+
+        args = ["scan", "--n", "1..3", "--bases", "4,3,2", "--digits", "25", "--format", "json"]
+        clean = json.loads(runner.invoke(main, args).output)
+        real = series_mod.r_correction
+
+        def fail_at_three(n, base_m, ctx):
+            if base_m == 3:
+                raise ConvergenceError(f"no convergence at m = {base_m}")
+            return real(n, base_m, ctx)
+
+        monkeypatch.setattr(series_mod, "r_correction", fail_at_three)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        rows = json.loads(result.output)
+        assert [(row["n"], row["base"]) for row in rows] == [
+            (n, m) for m in (2, 3, 4) for n in (1, 2, 3)]
+        assert rows[:3] == clean[:3] and rows[6:] == clean[6:]
+        assert [row["error"] for row in rows[3:6]] == ["no convergence at m = 3"] * 3
+        assert not any(row["pass"] for row in rows[3:6])

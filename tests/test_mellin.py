@@ -24,6 +24,7 @@ from almostid import (
     parse_function_id,
     pass_threshold,
 )
+import almostid.mellin as mellin_mod
 from almostid.mellin import _dilate_nodes, _fn, _g1, _g2, _refine_trapezoid
 
 
@@ -135,6 +136,28 @@ class TestQuadratureAgainstClosed:
         assert check.passed
         with mp.workdps(60):
             assert abs(check.abs_err.value) < mpf(10) ** (-25)
+
+    @pytest.mark.parametrize("fid,s", [("g2", "0.003"), ("g2", "0.997"),
+                                       ("g1", "0.4975"), ("fn3", "0.497")])
+    def test_near_strip_edges(self, fid, s, ctx30):
+        # Slow decay on one side makes the span in t thousands wide; the
+        # sinh map still resolves it to 5 digits past the requested ones.
+        numeric = mellin_numeric(fid, Fraction(s), ctx30)
+        closed = mellin_closed(fid, Fraction(s), ctx30)
+        with mp.workdps(60):
+            tol = mpf(10) ** (-(ctx30.digits + 5)) * max(1, abs(closed.value))
+            assert abs(numeric.value - closed.value) < tol
+
+    def test_node_count(self, ctx30, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _g1(x)
+
+        monkeypatch.setattr(mellin_mod, "_g1", counted)
+        mellin_numeric("g1", Fraction(1, 8), ctx30)
+        assert len(calls) <= 2000
 
     def test_threshold_scale(self, ctx30):
         with mp.workdps(45):

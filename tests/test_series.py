@@ -198,6 +198,32 @@ class TestRCorrection:
                     coarse.tail_bound.value + mpf(10) ** (-43) * fine.value.value
                 )
 
+    @pytest.mark.parametrize("m", [2, 10**13, 10**40])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_tail_bound_covers_truncation(self, n, m, ctx30):
+        # The terms past terms_used, rebuilt one by one at +40 digits from
+        # the docstring formulas up to where a +40-digit run stops, must sum
+        # to at most the reported tail bound.  The factor 1 + 10^-digits
+        # admits only the bound's own rounding: at m = 2 it is tight to far
+        # more digits than the working precision holds.
+        r = r_correction(n, m, ctx30)
+        fine = PrecisionContext(digits=ctx30.digits + 40)
+        stop = r_correction(n, m, fine).terms_used
+        with mp.workdps(fine.working_digits):
+            lnm = mp.ln(m)
+            beta = 2 * mp.pi**2 / lnm
+            dropped = mpf(0)
+            for k in range(r.terms_used + 1, stop + 1):
+                if n == 1:
+                    dropped += 2 * mp.pi / mp.cosh(k * beta)
+                elif n % 2 == 0:
+                    dropped += coeff_c(n // 2, k, m, fine).value * 2 * k * mp.pi / mp.sinh(k * beta)
+                else:
+                    dropped += coeff_b(n // 2, k, m, fine).value * 2 * k * mp.pi / mp.cosh(k * beta)
+            if n > 1:
+                dropped *= 2 * mp.pi / (lnm * (n - 1))
+            assert 0 < dropped <= r.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+
     def test_even_path_matches_direct_transcription(self, ctx40):
         # Independent rewrite of the n = 2 series: l = 1, c_k = 1, so
         # r_2 = (2 pi / ln m) * sum_k 2 k pi / sinh(2 k pi^2 / ln m).
