@@ -25,8 +25,7 @@ class PrecisionContext:
     """Requested decimal digits plus guard digits of working precision.
 
     ``working_digits = digits + guard`` is the precision every internal
-    computation runs at; ``tail_tol = 10^(-working_digits)`` is the default
-    truncation target for series tails.
+    computation runs at.
     """
 
     digits: int
@@ -43,11 +42,6 @@ class PrecisionContext:
     def working_digits(self) -> int:
         return self.digits + self.guard
 
-    @property
-    def tail_tol(self) -> "BigReal":
-        with mp.workdps(self.working_digits):
-            return BigReal(mpf(10) ** (-self.working_digits), self.working_digits)
-
 
 @dataclass(frozen=True)
 class BigReal:
@@ -59,15 +53,6 @@ class BigReal:
     def decimal(self) -> str:
         """Decimal-string form carrying enough digits to round-trip exactly."""
         return mp.nstr(self.value, self.precision_digits + 5, strip_zeros=True)
-
-    @classmethod
-    def parse(cls, text: str, precision_digits: int) -> "BigReal":
-        with mp.workdps(precision_digits):
-            try:
-                value = mpf(text)
-            except ValueError as exc:
-                raise DomainError(f"not a decimal string: {text!r}") from exc
-        return cls(value, precision_digits)
 
 
 def wrap(value, ctx: PrecisionContext) -> BigReal:

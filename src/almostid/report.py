@@ -28,18 +28,9 @@ LEMMA_COLUMNS = ("n", "k", "u", "h", "residual", "bound", "pass", "error")
 GALLERY_COLUMNS = ("item", "description", "digits", "value", "reference", "delta", "pass", "error")
 
 
-def decimal_text(value: BigReal) -> str:
-    return value.decimal()
-
-
 def identity_row(item) -> dict:
     if isinstance(item, ScanError):
-        return {
-            "n": item.n, "base": item.base_m, "digits": None,
-            "u": "", "target_rational": "", "target_has_pi": None,
-            "delta": "", "r_predicted": "", "residual": "", "tail_bounds": "",
-            "pass": False, "error": item.message,
-        }
+        return error_row(IDENTITY_COLUMNS, n=item.n, base=item.base_m, error=item.message)
     r: IdentityReport = item
     with mp.workdps(r.u.value.precision_digits):
         bounds = r.u.tail_bound.value + r.r_predicted.tail_bound.value
@@ -48,12 +39,12 @@ def identity_row(item) -> dict:
         "n": r.n,
         "base": r.base_m,
         "digits": r.digits,
-        "u": decimal_text(r.u.value),
+        "u": r.u.value.decimal(),
         "target_rational": r.target.rational_text(),
         "target_has_pi": r.target.has_pi,
-        "delta": decimal_text(r.delta),
-        "r_predicted": decimal_text(r.r_predicted.value),
-        "residual": decimal_text(r.residual),
+        "delta": r.delta.decimal(),
+        "r_predicted": r.r_predicted.value.decimal(),
+        "residual": r.residual.decimal(),
         "tail_bounds": bounds_text,
         "pass": r.passed,
         "error": "",
@@ -64,10 +55,10 @@ def mellin_row(check: MellinCheck) -> dict:
     return {
         "kind": "transform",
         "function": check.function_id,
-        "s": decimal_text(check.s),
-        "numeric": decimal_text(check.numeric),
-        "closed": decimal_text(check.closed),
-        "abs_err": decimal_text(check.abs_err),
+        "s": check.s.decimal(),
+        "numeric": check.numeric.decimal(),
+        "closed": check.closed.decimal(),
+        "abs_err": check.abs_err.decimal(),
         "pass": check.passed,
         "error": "",
     }
@@ -77,10 +68,10 @@ def harmonic_row(function_id: str, s: BigReal, abs_err: BigReal, passed: bool) -
     return {
         "kind": "harmonic",
         "function": function_id,
-        "s": decimal_text(s),
+        "s": s.decimal(),
         "numeric": "",
         "closed": "",
-        "abs_err": decimal_text(abs_err),
+        "abs_err": abs_err.decimal(),
         "pass": passed,
         "error": "",
     }
@@ -96,10 +87,10 @@ def error_row(columns, **known) -> dict:
 def dual_row(check: DualCheck) -> dict:
     return {
         "n": check.n,
-        "x": decimal_text(check.x),
-        "direct": decimal_text(check.direct),
-        "expansion": decimal_text(check.expansion),
-        "abs_err": decimal_text(check.abs_err),
+        "x": check.x.decimal(),
+        "direct": check.direct.decimal(),
+        "expansion": check.expansion.decimal(),
+        "abs_err": check.abs_err.decimal(),
         "pass": check.passed,
         "error": "",
     }
@@ -111,9 +102,9 @@ def lemma_row(n: int, k: int, u_text: str, h: BigReal, residual: BigReal,
         "n": n,
         "k": k,
         "u": u_text,
-        "h": decimal_text(h),
-        "residual": decimal_text(residual),
-        "bound": decimal_text(bound),
+        "h": h.decimal(),
+        "residual": residual.decimal(),
+        "bound": bound.decimal(),
         "pass": passed,
         "error": "",
     }
@@ -122,15 +113,15 @@ def lemma_row(n: int, k: int, u_text: str, h: BigReal, residual: BigReal,
 def gallery_row(entry: GalleryEntry) -> dict:
     reference = (
         str(entry.reference) if isinstance(entry.reference, int)
-        else decimal_text(entry.reference)
+        else entry.reference.decimal()
     )
     return {
         "item": entry.id,
         "description": entry.description,
         "digits": entry.digits,
-        "value": decimal_text(entry.value),
+        "value": entry.value.decimal(),
         "reference": reference,
-        "delta": decimal_text(entry.delta),
+        "delta": entry.delta.decimal(),
         "pass": True,
         "error": "",
     }

@@ -6,8 +6,9 @@ The central objects: the base-m sum
 
 its exact limit t_n (pi, 1, and the rational chain t_n = (n-2)/(4(n-1)) * t_{n-2}),
 and the hyperbolic correction series r_n(m) whose chained accumulation equals
-u_n - t_n.  Every truncated sum returns a bound on its truncation tail.  The
-bound does not cover rounding error; ROADMAP item 3 is to carry that too.
+u_n - t_n; that chain is summed as one series over k.  Every truncated sum
+returns a bound on its truncation tail.  The bound does not cover rounding
+error.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class IdentityReport:
     ``r_predicted`` is the recurrence-chained correction
     pred(n) = r_n + (n-2)/(4(n-1)) * pred(n-2) down to the n=1 or n=2 anchor;
     that chain is what u_n - t_n equals exactly, so ``residual`` collapses to
-    truncation noise when everything is consistent.
+    truncation noise when everything is consistent.  pred(n) is summed as one
+    series over k, so its ``terms_used`` is the number of k summed, and its
+    tail bound is that series' one bound.
     """
 
     n: int
@@ -130,24 +133,6 @@ def target(n: int) -> ExactTarget:
     return ExactTarget(q=q, has_pi=(n % 2 == 1))
 
 
-def _coeff_c_mpf(l: int, k: int, lnm) -> mpf:
-    # prod_{j=0}^{l-2} (j^2 + 4 pi^2 k^2 / ln(m)^2) / (2l-2)!
-    w = (2 * k * mp.pi / lnm) ** 2
-    prod = mpf(1)
-    for j in range(l - 1):
-        prod *= mpf(j) ** 2 + w
-    return prod / math.factorial(2 * l - 2)
-
-
-def _coeff_b_mpf(l: int, k: int, lnm) -> mpf:
-    # 2 pi k * prod_{j=0}^{l-2} ((j+1/2)^2 + 4 pi^2 k^2 / ln(m)^2) / (ln(m) (2l-1)!)
-    w = (2 * k * mp.pi / lnm) ** 2
-    prod = mpf(1)
-    for j in range(l - 1):
-        prod *= (j + mpf(1) / 2) ** 2 + w
-    return 2 * mp.pi * k * prod / (lnm * math.factorial(2 * l - 1))
-
-
 def _check_lk(l, k):
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise DomainError(f"l must be an integer >= 1, got {l!r}")
@@ -156,19 +141,92 @@ def _check_lk(l, k):
 
 
 def coeff_c(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
-    """Even-index coefficient; l = 1 is the empty product, c_k = 1."""
+    """Even-index coefficient prod_{j=0}^{l-2} (j^2 + w) / (2l-2)!, with
+    w = (2 pi k / ln m)^2; l = 1 is the empty product, c_k = 1."""
     _check_lk(l, k)
     _check_base(base_m)
     with mp.workdps(ctx.working_digits):
-        return wrap(_coeff_c_mpf(l, k, mp.ln(mpf(base_m))), ctx)
+        w = (2 * k * mp.pi / mp.ln(mpf(base_m))) ** 2
+        prod = mpf(1)
+        for j in range(l - 1):
+            prod *= mpf(j) ** 2 + w
+        return wrap(prod / math.factorial(2 * l - 2), ctx)
 
 
 def coeff_b(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
-    """Odd-index coefficient; l = 1 empty product gives b_k = 2 pi k / ln(m)."""
+    """Odd-index coefficient 2 pi k prod_{j=0}^{l-2} ((j+1/2)^2 + w) / (ln(m) (2l-1)!),
+    with w = (2 pi k / ln m)^2; l = 1 is the empty product, b_k = 2 pi k / ln(m)."""
     _check_lk(l, k)
     _check_base(base_m)
     with mp.workdps(ctx.working_digits):
-        return wrap(_coeff_b_mpf(l, k, mp.ln(mpf(base_m))), ctx)
+        lnm = mp.ln(mpf(base_m))
+        w = (2 * k * mp.pi / lnm) ** 2
+        prod = mpf(1)
+        for j in range(l - 1):
+            prod *= (j + mpf(1) / 2) ** 2 + w
+        return wrap(2 * mp.pi * k * prod / (lnm * math.factorial(2 * l - 1)), ctx)
+
+
+def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) -> SeriesValue:
+    """Sum_k h(k beta) * sum_j F_j T_j(k) over the columns j = n, n-2, ... >= 1.
+
+    h is 1/sinh (n even) or 1/cosh (n odd), and h(k beta) T_j(k) is the k-th
+    term of r_j, prefactor included.  F_n = 1; below n, F_{j-2} =
+    F_j (j-2)/(4(j-1)) when chain is true, so the sum is pred(n), and F_j = 0
+    otherwise, so the sum is r_n.
+
+    With w = (2 pi k / ln m)^2, T_j(k) is V_j k P_j(w) for even j and
+    V_j P_j(w) for odd j, where V_j = 4 pi^2 / (ln(m) (j-1)!) (even) or
+    2 pi / (j-1)! (odd), P_1 = P_2 = 1, P_3 = w and otherwise
+    P_j = P_{j-2} ((j-4)^2/4 + w).  The weights F_j V_j hold the factorials,
+    so the polynomial of degree n - 1 in k is summed by Horner's rule, one
+    column per step.  e^(-k beta) is carried by one multiplication per term.
+    The stopping rule and tail bound are those of r_correction with
+    D = n - 1; they hold for the whole chain because every coefficient of the
+    polynomial is >= 0.
+    """
+    even = n % 2 == 0
+    with mp.workdps(ctx.working_digits):
+        tol = mpf(10) ** (-ctx.working_digits)
+        lnm = mp.ln(mpf(base_m))
+        beta = 2 * mp.pi**2 / lnm
+        q = mp.exp(-beta)
+        c2 = (2 * mp.pi / lnm) ** 2
+        # 2 e^(-x) / (1 -+ e^(-2x)) is 1/sinh or 1/cosh; its 2 goes in the weights
+        scale = 8 * mp.pi**2 / lnm if even else 4 * mp.pi
+        columns = range(n, 0, -2)
+        weights = []
+        f = rational(1)
+        for j in columns:
+            weights.append(scale * to_mpf(f) / math.factorial(j - 1))
+            f = f * recurrence_factor(j) if chain and j > 2 else rational(0)
+        # Horner step from column j down to j - 2: s -> s * (d_j + w) + weight_{j-2}
+        steps = [(mpf((j - 4) ** 2) / 4 if j > 3 else mpf(0), v)
+                 for j, v in zip(columns, weights[1:])]
+
+        partial = mpf(0)
+        prev = None
+        qk = mpf(1)
+        k = 0
+        while True:
+            k += 1
+            if k > _MAX_TERMS:
+                name = "predicted_correction" if chain else "r_correction"
+                raise ConvergenceError(f"{name} stalled at n={n}, m={base_m}")
+            qk *= q
+            w = c2 * (k * k)
+            s = weights[0]
+            for d, v in steps:
+                s = s * (d + w) + v
+            q2k = qk * qk
+            t = s * k * qk / (1 - q2k) if even else s * qk / (1 + q2k)
+            partial += t
+            if prev is not None and t < prev and t < tol * partial:
+                rho = (mpf(k + 1) / k) ** (n - 1) * q * (1 + q2k)
+                if rho < 1:
+                    break
+            prev = t
+        return SeriesValue(wrap(partial, ctx), wrap(t * rho / (1 - rho), ctx), k)
 
 
 def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
@@ -181,54 +239,15 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     Terms are positive: a polynomial of degree n - 1 in k times
     1/cosh(k beta) or 1/sinh(k beta), beta = 2 pi^2 / ln m.  For large n the
     polynomial factor makes them grow before decaying, so the stopping rule
-    requires the term both below tail_tol*|partial| and decreasing.  From the
-    last term k on, each ratio of consecutive terms is at most
-    rho = ((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)), which falls with k;
-    summing goes on until rho < 1, and the tail is reported as the last term
-    times rho/(1 - rho), a bound on the truncation for every base.
+    requires the term both below 10^(-working_digits) * partial and
+    decreasing.  From the last term k on, each ratio of consecutive terms is
+    at most rho = ((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)), which falls
+    with k; summing goes on until rho < 1, and the tail is reported as the
+    last term times rho/(1 - rho), a bound on the truncation for every base.
     """
     _check_n(n)
     _check_base(base_m)
-    with mp.workdps(ctx.working_digits):
-        tol = mpf(10) ** (-ctx.working_digits)
-        lnm = mp.ln(mpf(base_m))
-        beta = 2 * mp.pi**2 / lnm
-
-        if n == 1:
-            pref = mpf(1)
-
-            def term(k):
-                return 2 * mp.pi / mp.cosh(k * beta)
-        elif n % 2 == 0:
-            l = n // 2
-            pref = 2 * mp.pi / (lnm * (n - 1))
-
-            def term(k):
-                return _coeff_c_mpf(l, k, lnm) * 2 * k * mp.pi / mp.sinh(k * beta)
-        else:
-            l = (n - 1) // 2
-            pref = 2 * mp.pi / (lnm * (n - 1))
-
-            def term(k):
-                return _coeff_b_mpf(l, k, lnm) * 2 * k * mp.pi / mp.cosh(k * beta)
-
-        partial = mpf(0)
-        prev = None
-        k = 0
-        while True:
-            k += 1
-            if k > _MAX_TERMS:
-                raise ConvergenceError(f"r_correction stalled at n={n}, m={base_m}")
-            t = term(k)
-            partial += t
-            if prev is not None and t < prev and t < tol * abs(partial):
-                rho = (mpf(k + 1) / k) ** (n - 1) * mp.exp(-beta) * (1 + mp.exp(-2 * k * beta))
-                if rho < 1:
-                    break
-            prev = t
-        value = pref * partial
-        tail = pref * t * rho / (1 - rho)
-        return SeriesValue(wrap(value, ctx), wrap(tail, ctx), k)
+    return _correction_series(n, base_m, ctx, chain=False)
 
 
 def recurrence_factor(n: int) -> ExactRational:
@@ -237,54 +256,35 @@ def recurrence_factor(n: int) -> ExactRational:
     return rational(n - 2, 4 * (n - 1))
 
 
-def _chain(n: int, base_m: int, ctx: PrecisionContext, r_memo: dict) -> SeriesValue:
-    """Sum pred(n) top down, r_n + a_n*r_{n-2} + a_n*a_{n-2}*r_{n-4} + ...
-
-    Each r_j is taken from r_memo when present and stored there otherwise, so
-    one dict shared across the cells of a base computes every r_j once.  The
-    order of operations does not depend on the memo, so neither do the digits.
-    """
-    with mp.workdps(ctx.working_digits):
-        value = mpf(0)
-        tail = mpf(0)
-        terms = 0
-        factor = rational(1)
-        j = n
-        while True:
-            if j not in r_memo:
-                r_memo[j] = r_correction(j, base_m, ctx)
-            rj = r_memo[j]
-            f = to_mpf(factor)
-            value += f * rj.value.value
-            tail += f * rj.tail_bound.value
-            terms += rj.terms_used
-            if j < 3:
-                break
-            factor *= recurrence_factor(j)
-            j -= 2
-        return SeriesValue(wrap(value, ctx), wrap(tail, ctx), terms)
-
-
 def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     """Chained correction pred(n) = r_n + (n-2)/(4(n-1)) * pred(n-2).
 
     Anchored at pred(1) = r_1, pred(2) = r_2; equals u_n - t_n exactly, so it
-    is the quantity an identity report compares delta against.
+    is the quantity an identity report compares delta against.  All r_j of
+    the chain run over the same k with the same 1/sinh or 1/cosh, so pred(n)
+    is summed as one series over k, with r_correction's stopping rule and tail
+    bound; ``terms_used`` is the number of k summed.
     """
     _check_n(n)
     _check_base(base_m)
-    return _chain(n, base_m, ctx, {})
+    return _correction_series(n, base_m, ctx, chain=True)
 
 
-def _report(n: int, base_m: int, u: SeriesValue, pred: SeriesValue,
-            ctx: PrecisionContext) -> IdentityReport:
+def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityReport:
+    """End-to-end check of u_n = t_n + chained correction for one cell.
+
+    The row passes when |residual| is within the two reported tail bounds
+    plus a slack of 10^(-digits).  The tail bounds count truncation only;
+    the slack absorbs rounding.
+    """
+    u = u_direct(n, base_m, ctx)
+    pred = predicted_correction(n, base_m, ctx)
     tgt = target(n)
     with mp.workdps(ctx.working_digits):
         delta = u.value.value - tgt.to_real(ctx).value
         residual = delta - pred.value.value
         threshold = (u.tail_bound.value + pred.tail_bound.value
                      + mpf(10) ** (-ctx.digits))
-        passed = bool(abs(residual) <= threshold)
         return IdentityReport(
             n=n,
             base_m=base_m,
@@ -294,19 +294,8 @@ def _report(n: int, base_m: int, u: SeriesValue, pred: SeriesValue,
             r_predicted=pred,
             residual=wrap(residual, ctx),
             digits=ctx.digits,
-            passed=passed,
+            passed=bool(abs(residual) <= threshold),
         )
-
-
-def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityReport:
-    """End-to-end check of u_n = t_n + chained correction for one cell.
-
-    The row passes when |residual| is within the two reported tail bounds
-    plus a slack of 10^(-digits).  The tail bounds count truncation only;
-    the slack absorbs rounding (ROADMAP item 3 is to carry that instead).
-    """
-    u = u_direct(n, base_m, ctx)
-    return _report(n, base_m, u, predicted_correction(n, base_m, ctx), ctx)
 
 
 def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
@@ -333,18 +322,14 @@ def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
 def scan(n_values, bases, ctx: PrecisionContext):
     """Verify a grid of (base, n) cells, ordered by (base_m, n), never aborting.
 
-    Every cell gets the report verify_identity would give it, but the cells of
-    one base share their r_j, so each r_j(base) is computed once per call.
-    Cells that raise DomainError become ScanError entries in the result list.
+    Every cell gets the report verify_identity gives it.  Cells that raise
+    DomainError become ScanError entries in the result list.
     """
     results = []
     for base_m in sorted(set(bases)):
-        r_memo = {}
         for n in sorted(set(n_values)):
             try:
-                u = u_direct(n, base_m, ctx)
-                pred = _chain(n, base_m, ctx, r_memo)
-                results.append(_report(n, base_m, u, pred, ctx))
+                results.append(verify_identity(n, base_m, ctx))
             except DomainError as exc:
                 results.append(ScanError(n=n, base_m=base_m, message=str(exc)))
     return results

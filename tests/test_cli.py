@@ -133,8 +133,11 @@ class TestScanCommand:
             main, ["scan", "--n", "0..1", "--digits", "30", "--format", "json"])
         assert result.exit_code == 1
         rows = json.loads(result.output)
-        assert rows[0]["pass"] is False
-        assert "diverges" in rows[0]["error"]
+        assert rows[0] == {
+            "n": 0, "base": 2, "digits": "", "u": "", "target_rational": "",
+            "target_has_pi": "", "delta": "", "r_predicted": "", "residual": "",
+            "tail_bounds": "", "pass": False,
+            "error": "n = 0 diverges: every bilateral term equals ln(m)"}
         assert rows[1]["pass"] is True
 
     def test_text_format(self, runner):
@@ -351,7 +354,7 @@ class TestErrorRows:
         def fail(*args, **kwargs):
             raise ConvergenceError("no convergence")
 
-        monkeypatch.setattr(series_mod, "r_correction", fail)
+        monkeypatch.setattr(series_mod, "predicted_correction", fail)
         result = runner.invoke(main, ["verify", "--n", "4", "--digits", "25", "--format", "json"])
         assert result.exit_code == 1
         assert json.loads(result.output) == {
@@ -365,14 +368,14 @@ class TestErrorRows:
 
         args = ["scan", "--n", "1..3", "--bases", "4,3,2", "--digits", "25", "--format", "json"]
         clean = json.loads(runner.invoke(main, args).output)
-        real = series_mod.r_correction
+        real = series_mod.predicted_correction
 
         def fail_at_three(n, base_m, ctx):
             if base_m == 3:
                 raise ConvergenceError(f"no convergence at m = {base_m}")
             return real(n, base_m, ctx)
 
-        monkeypatch.setattr(series_mod, "r_correction", fail_at_three)
+        monkeypatch.setattr(series_mod, "predicted_correction", fail_at_three)
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         rows = json.loads(result.output)

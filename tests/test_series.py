@@ -24,6 +24,7 @@ from almostid import (
     u_direct,
     verify_identity,
 )
+from almostid.precision import to_mpf
 from conftest import leading_digits
 
 # Published reference values for base 2: leading two digits of u_n - t_n,
@@ -43,6 +44,22 @@ R_REFERENCE = {
     (2, 2): "0.4885108992e-10",
     (10, 2): "0.7227399e-8",
 }
+
+
+def _r_terms(n, m, ks, ctx):
+    """Sum of the k-th terms of r_n(m) over ks, transcribed from the
+    r_correction docstring through coeff_c/coeff_b and mp.sinh/mp.cosh."""
+    lnm = mp.ln(m)
+    beta = 2 * mp.pi**2 / lnm
+    total = mpf(0)
+    for k in ks:
+        if n == 1:
+            total += 2 * mp.pi / mp.cosh(k * beta)
+        elif n % 2 == 0:
+            total += coeff_c(n // 2, k, m, ctx).value * 2 * k * mp.pi / mp.sinh(k * beta)
+        else:
+            total += coeff_b(n // 2, k, m, ctx).value * 2 * k * mp.pi / mp.cosh(k * beta)
+    return total if n == 1 else total * 2 * mp.pi / (lnm * (n - 1))
 
 
 class TestUDirect:
@@ -210,18 +227,7 @@ class TestRCorrection:
         fine = PrecisionContext(digits=ctx30.digits + 40)
         stop = r_correction(n, m, fine).terms_used
         with mp.workdps(fine.working_digits):
-            lnm = mp.ln(m)
-            beta = 2 * mp.pi**2 / lnm
-            dropped = mpf(0)
-            for k in range(r.terms_used + 1, stop + 1):
-                if n == 1:
-                    dropped += 2 * mp.pi / mp.cosh(k * beta)
-                elif n % 2 == 0:
-                    dropped += coeff_c(n // 2, k, m, fine).value * 2 * k * mp.pi / mp.sinh(k * beta)
-                else:
-                    dropped += coeff_b(n // 2, k, m, fine).value * 2 * k * mp.pi / mp.cosh(k * beta)
-            if n > 1:
-                dropped *= 2 * mp.pi / (lnm * (n - 1))
+            dropped = _r_terms(n, m, range(r.terms_used + 1, stop + 1), fine)
             assert 0 < dropped <= r.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
 
     def test_even_path_matches_direct_transcription(self, ctx40):
@@ -293,13 +299,42 @@ class TestPredictedCorrection:
             assert pred.value.value == bare.value.value
 
     def test_chain_unrolls_one_step(self, ctx40):
-        # pred(4) = r_4 + (1/6) pred(2), exactly as mpf arithmetic.
-        pred4 = predicted_correction(4, 2, ctx40)
-        r4 = r_correction(4, 2, ctx40)
-        pred2 = predicted_correction(2, 2, ctx40)
-        with mp.workdps(ctx40.working_digits):
-            ref = r4.value.value + mpf(1) / 6 * pred2.value.value
-            assert abs(pred4.value.value - ref) < mpf(10) ** (-50) * ref
+        # pred(n) = r_n + (n-2)/(4(n-1)) pred(n-2), to 1e-50 relative: the
+        # one series over k agrees with the chain summed one r_n at a time.
+        for n in (3, 4, 17, 30):
+            for m in (2, 10**13, 10**40):
+                pred = predicted_correction(n, m, ctx40)
+                rn = r_correction(n, m, ctx40)
+                below = predicted_correction(n - 2, m, ctx40)
+                with mp.workdps(ctx40.working_digits):
+                    ref = rn.value.value + to_mpf(recurrence_factor(n)) * below.value.value
+                    assert abs(pred.value.value - ref) < mpf(10) ** (-50) * ref, (n, m)
+
+    @pytest.mark.parametrize("m", [2, 10**13, 10**40])
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_terms_used_at_most_r_n(self, n, m, ctx30):
+        # the lower columns of the chain decay faster than column n, so the
+        # one series over k stops no later than r_n alone
+        assert (predicted_correction(n, m, ctx30).terms_used
+                <= r_correction(n, m, ctx30).terms_used)
+
+    @pytest.mark.parametrize("m", [2, 10**13, 10**40])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_tail_bound_covers_truncation(self, n, m, ctx30):
+        # As for r_correction: the k past terms_used, up to where a
+        # +40-digit run stops, rebuilt one r_j term at a time and weighted by
+        # the chain factors, must sum to at most the reported tail bound.
+        pred = predicted_correction(n, m, ctx30)
+        fine = PrecisionContext(digits=ctx30.digits + 40)
+        ks = range(pred.terms_used + 1, predicted_correction(n, m, fine).terms_used + 1)
+        with mp.workdps(fine.working_digits):
+            dropped = mpf(0)
+            factor = Fraction(1)
+            for j in range(n, 0, -2):
+                dropped += to_mpf(factor) * _r_terms(j, m, ks, fine)
+                if j > 2:
+                    factor *= recurrence_factor(j)
+            assert 0 < dropped <= pred.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
 
 
 class TestRecurrence:
@@ -378,24 +413,6 @@ class TestScan:
             single = verify_identity(rep.n, rep.base_m, ctx30)
             for f in fields(IdentityReport):
                 assert getattr(rep, f.name) == getattr(single, f.name), (rep.n, rep.base_m, f.name)
-
-    def test_each_r_term_computed_once_per_base(self, ctx30, monkeypatch):
-        import almostid.series as series_mod
-
-        real = series_mod.r_correction
-        calls = []
-
-        def counting(*args):
-            calls.append(args[:2])
-            return real(*args)
-
-        monkeypatch.setattr(series_mod, "r_correction", counting)
-        scan(range(1, 7), [2, 3], ctx30)
-        assert sorted(calls) == [(j, m) for j in range(1, 7) for m in (2, 3)]
-        calls.clear()
-        # a lone cell still walks its own chain: one r_j per same-parity j
-        verify_identity(30, 2, ctx30)
-        assert sorted(calls) == [(j, 2) for j in range(2, 31, 2)]
 
     def test_deterministic(self, ctx30):
         a = scan([1, 4], [2, 4], ctx30)
