@@ -10,8 +10,10 @@ Usage examples:
     almostid gallery --item ramanujan163 --digits 50
 
 Exit status: 0 when every per-item check passed, 1 on any verification
-failure, 2 on usage or domain errors.  All numerics print as decimal strings;
-repeated runs with the same configuration emit byte-identical reports.
+failure, 2 on usage or domain errors.  A cell that does not converge, and in
+scan also a cell outside the domain, gets its own error row.  All numerics
+print as decimal strings; repeated runs with the same configuration emit
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -94,19 +96,19 @@ def _identity_context(command: str, digits: int, residual_tol):
     return ctx, gate
 
 
-def _rows(columns, cells, rows_of, labels_of):
-    """The cell -> rows loop of every subcommand.
+def _rows(columns, keys, cells, row_of):
+    """The cell -> row loop of every subcommand but scan, whose loop is series.scan.
 
-    rows_of(cell) computes the rows of one cell.  A ConvergenceError gives one
-    error row per label in labels_of(cell); any other failure propagates.
+    row_of(cell) computes the one row of a cell.  A ConvergenceError gives an
+    error row whose key columns ``keys`` hold the cell's own values; any other
+    failure propagates.
     """
     rows = []
     for cell in cells:
         try:
-            rows += rows_of(cell)
+            rows.append(row_of(cell))
         except ConvergenceError as exc:
-            rows += [report_mod.error_row(columns, **label, error=str(exc))
-                     for label in labels_of(cell)]
+            rows.append(report_mod.error_row(columns, **dict(zip(keys, cell)), error=str(exc)))
     return rows
 
 
@@ -126,26 +128,14 @@ def _emit(columns, rows, fmt, out_path, ok=True, single=False):
     sys.exit(0 if ok and all(row["pass"] for row in rows) else 1)
 
 
-def _identity_rows(bases, reports_of, n_values, ctx, gate):
-    """Rows of verify/scan, and whether every residual is within the gate.
-
-    reports_of(base) computes the reports of the cells (n, base), one base at
-    a time; a ConvergenceError gives each cell of that base an error row.
-    """
-    ok = True
-
-    def rows_of(base):
-        nonlocal ok
-        reports = reports_of(base)
-        if gate is not None:
-            with mp.workdps(ctx.working_digits):
-                ok = ok and all(abs(item.residual.value) <= gate for item in reports
-                                if isinstance(item, series_mod.IdentityReport))
-        return [report_mod.identity_row(item) for item in reports]
-
-    rows = _rows(report_mod.IDENTITY_COLUMNS, bases, rows_of,
-                 lambda base: [{"n": n, "base": base} for n in n_values])
-    return rows, ok
+def _emit_identity(rows, ctx, gate, fmt, out_path, single=False):
+    """_emit for verify/scan rows; with a --residual-tol gate, the exit status
+    also fails unless every computed |residual| is within it.  The residual
+    is read back from its decimal column, which round-trips exactly."""
+    with mp.workdps(ctx.working_digits):
+        ok = gate is None or all(abs(mpf(row["residual"])) <= gate
+                                 for row in rows if row["residual"] != "")
+    _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok, single)
 
 
 def _gallery_entry(item: str, ctx: PrecisionContext):
@@ -198,9 +188,9 @@ def verify(n_text, base, residual_tol, digits, fmt, out_path):
         if len(values) != 1:
             raise DomainError("verify takes a single n; use scan for ranges")
         ctx, gate = _identity_context("verify", digits, residual_tol)
-        rows, ok = _identity_rows([base], lambda m: [series_mod.verify_identity(values[0], m, ctx)],
-                                  values, ctx, gate)
-        _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok, single=True)
+        rows = _rows(report_mod.IDENTITY_COLUMNS, ("n", "base"), [(values[0], base)],
+                     lambda cell: report_mod.identity_row(series_mod.verify_identity(*cell, ctx)))
+        _emit_identity(rows, ctx, gate, fmt, out_path, single=True)
 
 
 @main.command()
@@ -216,10 +206,9 @@ def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
         n_values = parse_int_range(n_text)
         bases = parse_int_list(bases_text)
         ctx, gate = _identity_context("scan", digits, residual_tol)
-        rows, ok = _identity_rows(sorted(set(bases)),
-                                  lambda m: series_mod.scan(n_values, [m], ctx),
-                                  sorted(set(n_values)), ctx, gate)
-        _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok)
+        reports = series_mod.scan(n_values, bases, ctx)
+        _emit_identity([report_mod.identity_row(item) for item in reports],
+                       ctx, gate, fmt, out_path)
 
 
 @main.command()
@@ -243,20 +232,19 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
             cells += [("harmonic", fid, text) for fid in functions if fid in ("g1", "g2")
                       for text in s_texts]
 
-        def rows_of(cell):
+        def row_of(cell):
             kind, fid, text = cell
             s = s_of[text]
             if kind == "transform":
-                return [report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))]
+                return report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))
             err = mellin_mod.harmonic_factor_check(fid, s, ctx)
             with mp.workdps(ctx.working_digits):
                 s_big = wrap(mpf(s.numerator) / s.denominator, ctx)
                 passed = bool(err.value < threshold)
-            return [report_mod.harmonic_row(fid, s_big, err, passed)]
+            return report_mod.harmonic_row(fid, s_big, err, passed)
 
         columns = report_mod.MELLIN_COLUMNS
-        rows = _rows(columns, cells, rows_of,
-                     lambda cell: [dict(zip(("kind", "function", "s"), cell))])
+        rows = _rows(columns, ("kind", "function", "s"), cells, row_of)
         _emit(columns, rows, fmt, out_path)
 
 
@@ -271,9 +259,8 @@ def dual(n_text, x_text, digits, fmt, out_path):
         cells = [(n, x) for n in parse_int_range(n_text) for x in parse_str_list(x_text)]
         ctx = PrecisionContext(digits=digits)
         columns = report_mod.DUAL_COLUMNS
-        rows = _rows(columns, cells,
-                     lambda cell: [report_mod.dual_row(mellin_mod.dual_check(*cell, ctx))],
-                     lambda cell: [dict(zip(("n", "x"), cell))])
+        rows = _rows(columns, ("n", "x"), cells,
+                     lambda cell: report_mod.dual_row(mellin_mod.dual_check(*cell, ctx)))
         _emit(columns, rows, fmt, out_path)
 
 
@@ -299,13 +286,13 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
             bound = wrap(10 * h_value**2, ctx)
             h_big = wrap(h_value, ctx)
 
-        def rows_of(cell):
+        def row_of(cell):
             residual = mellin_mod.lemma_check(*cell, ctx, h=h_big)
             passed = bool(residual.value < bound.value)
-            return [report_mod.lemma_row(*cell, h_big, residual, bound, passed)]
+            return report_mod.lemma_row(*cell, h_big, residual, bound, passed)
 
         columns = report_mod.LEMMA_COLUMNS
-        rows = _rows(columns, cells, rows_of, lambda cell: [dict(zip(("n", "k", "u"), cell))])
+        rows = _rows(columns, ("n", "k", "u"), cells, row_of)
         _emit(columns, rows, fmt, out_path)
 
 
@@ -315,14 +302,11 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
 def gallery(item, digits, fmt, out_path):
     """Recompute the catalogue of famous almost identities."""
     with _usage_errors():
-        if item in ("all", "ramanujan37", "ramanujan58", "ramanujan163") and digits < 40:
-            raise DomainError(f"gallery ramanujan entries need digits >= 40, got {digits}")
         ctx = PrecisionContext(digits=digits)
-        cells = {"all": _GALLERY_NAMED + _HICKERSON, "hickerson": _HICKERSON}.get(item, (item,))
+        items = {"all": _GALLERY_NAMED + _HICKERSON, "hickerson": _HICKERSON}.get(item, (item,))
         columns = report_mod.GALLERY_COLUMNS
-        rows = _rows(columns, cells,
-                     lambda cell: [report_mod.gallery_row(_gallery_entry(cell, ctx))],
-                     lambda cell: [{"item": cell, "digits": ctx.digits}])
+        rows = _rows(columns, ("item", "digits"), [(name, digits) for name in items],
+                     lambda cell: report_mod.gallery_row(_gallery_entry(cell[0], ctx)))
         _emit(columns, rows, fmt, out_path)
 
 

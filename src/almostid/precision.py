@@ -18,29 +18,26 @@ from .errors import DomainError
 ExactRational = Fraction
 
 _ELEM_FNS = ("exp", "ln", "sqrt", "sin", "cos", "sinh", "cosh", "arctan")
+GUARD_DIGITS = 15
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Requested decimal digits plus guard digits of working precision.
+    """Requested decimal digits plus GUARD_DIGITS of working precision.
 
-    ``working_digits = digits + guard`` is the precision every internal
+    ``working_digits = digits + GUARD_DIGITS`` is the precision every internal
     computation runs at.
     """
 
     digits: int
-    guard: int = 15
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or isinstance(self.digits, bool) or self.digits < 1:
             raise DomainError(f"digits must be a positive integer, got {self.digits!r}")
-        # working_digits >= digits + 10 must hold
-        if not isinstance(self.guard, int) or isinstance(self.guard, bool) or self.guard < 10:
-            raise DomainError(f"guard must be an integer >= 10, got {self.guard!r}")
 
     @property
     def working_digits(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD_DIGITS
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ The central objects: the base-m sum
 
 its exact limit t_n (pi, 1, and the rational chain t_n = (n-2)/(4(n-1)) * t_{n-2}),
 and the hyperbolic correction series r_n(m) whose chained accumulation equals
-u_n - t_n; that chain is summed as one series over k.  Every truncated sum
-returns a bound on its truncation tail.  The bound does not cover rounding
-error.
+u_n - t_n; that chain is summed as one series over k.  The truncated sums
+u_direct, r_correction and predicted_correction return a bound on their
+truncation tail.  The bound does not cover rounding error.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def u_direct(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
 
     Truncation at K uses the geometric comparison
     (m^{k/2}+m^{-k/2})^{-n} < m^{-nk/2}, giving the tail bound
-    2*ln(m)*m^{-nK/2}/(1 - m^{-n/2}).
+    2*ln(m)*m^{-nK/2}/(1 - m^{-n/2}).  A K over _MAX_TERMS raises
+    ConvergenceError before any term is summed.
     """
     _check_n(n)
     _check_base(base_m)
@@ -104,13 +105,14 @@ def u_direct(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
         def bound(k):
             return 2 * lnm * rho**k / (1 - rho)
 
-        # closed-form estimate for K, then bump to be safe
+        # closed-form estimate for K, then bump past rounding in the estimate
         est = (mp.ln(2 * lnm / (tol * (1 - rho)))) / ((mpf(n) / 2) * lnm)
         K = max(1, int(mp.ceil(est)))
         while bound(K) >= tol:
             K += 1
-            if K > _MAX_TERMS:
-                raise ConvergenceError("u_direct truncation index exploded")
+        if K > _MAX_TERMS:
+            raise ConvergenceError(
+                f"u_direct needs K = {K} terms at n={n}, m={base_m}, over the cap {_MAX_TERMS}")
 
         sqrt_m = mp.sqrt(mpf(base_m))
         p = mpf(1)  # m^{k/2}
@@ -309,7 +311,7 @@ def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
     bounds whenever they do."""
     _check_n(n, minimum=3)
     _check_base(base_m)
-    fine = PrecisionContext(digits=ctx.digits + 40, guard=ctx.guard)
+    fine = PrecisionContext(digits=ctx.digits + 40)
     un = u_direct(n, base_m, fine)
     un2 = u_direct(n - 2, base_m, fine)
     rn = r_correction(n, base_m, fine)
@@ -322,14 +324,15 @@ def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
 def scan(n_values, bases, ctx: PrecisionContext):
     """Verify a grid of (base, n) cells, ordered by (base_m, n), never aborting.
 
-    Every cell gets the report verify_identity gives it.  Cells that raise
-    DomainError become ScanError entries in the result list.
+    Duplicate n and bases collapse.  Every cell gets the report
+    verify_identity gives it, or, when that raises DomainError or
+    ConvergenceError, a ScanError of its own; the other cells are unaffected.
     """
     results = []
     for base_m in sorted(set(bases)):
         for n in sorted(set(n_values)):
             try:
                 results.append(verify_identity(n, base_m, ctx))
-            except DomainError as exc:
+            except (DomainError, ConvergenceError) as exc:
                 results.append(ScanError(n=n, base_m=base_m, message=str(exc)))
     return results

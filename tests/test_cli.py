@@ -384,3 +384,42 @@ class TestErrorRows:
         assert rows[:3] == clean[:3] and rows[6:] == clean[6:]
         assert [row["error"] for row in rows[3:6]] == ["no convergence at m = 3"] * 3
         assert not any(row["pass"] for row in rows[3:6])
+
+    def test_scan_failing_cell_gets_its_own_row(self, runner, monkeypatch):
+        import almostid.series as series_mod
+        from almostid.errors import ConvergenceError
+
+        args = ["scan", "--n", "1..3", "--bases", "2,3", "--digits", "25", "--format", "json"]
+        clean = json.loads(runner.invoke(main, args).output)
+        real = series_mod.predicted_correction
+
+        def fail_at_2_3(n, base_m, ctx):
+            if (n, base_m) == (2, 3):
+                raise ConvergenceError("no convergence at n = 2, m = 3")
+            return real(n, base_m, ctx)
+
+        monkeypatch.setattr(series_mod, "predicted_correction", fail_at_2_3)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        rows = json.loads(result.output)
+        assert rows[4] == {
+            "n": 2, "base": 3, "digits": "", "u": "", "target_rational": "",
+            "target_has_pi": "", "delta": "", "r_predicted": "", "residual": "",
+            "tail_bounds": "", "pass": False, "error": "no convergence at n = 2, m = 3"}
+        assert rows[:4] + rows[5:] == clean[:4] + clean[5:]
+
+    def test_scan_term_cap_fails_only_low_n(self, runner, monkeypatch):
+        # at 25 digits u_n(2) needs 272, 136, 91, 68, 55 and 46 terms for n = 1..6
+        import almostid.series as series_mod
+
+        args = ["scan", "--n", "1..6", "--digits", "25", "--format", "json"]
+        clean = json.loads(runner.invoke(main, args).output)
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 60)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        rows = json.loads(result.output)
+        assert [row["pass"] for row in rows] == [False] * 4 + [True] * 2
+        for row in rows[:4]:
+            assert row["error"].startswith("u_direct needs K = ")
+            assert row["error"].endswith(f"terms at n={row['n']}, m=2, over the cap 60")
+        assert rows[4:] == clean[4:]

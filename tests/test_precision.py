@@ -30,21 +30,12 @@ def _parse(text, digits):
 
 class TestPrecisionContext:
     def test_working_digits_is_sum_of_digits_and_guard(self):
-        ctx = PrecisionContext(digits=30)
-        assert ctx.guard == 15
-        assert ctx.working_digits == 45
-        ctx = PrecisionContext(digits=25, guard=12)
-        assert ctx.working_digits == 37
+        assert PrecisionContext(digits=30).working_digits == 45
 
     @pytest.mark.parametrize("digits", [0, -3])
     def test_rejects_nonpositive_digits(self, digits):
         with pytest.raises(DomainError):
             PrecisionContext(digits=digits)
-
-    @pytest.mark.parametrize("guard", [9, 0, -1])
-    def test_rejects_small_guard(self, guard):
-        with pytest.raises(DomainError):
-            PrecisionContext(digits=30, guard=guard)
 
     @pytest.mark.parametrize("digits", [2.5, "30"])
     def test_rejects_non_integer_digits(self, digits):

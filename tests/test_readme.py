@@ -1,14 +1,27 @@
 """The README's examples run against the library as it is: its python block
-executes, and its `verify` console line is what the command prints."""
+executes, and its console examples show what the commands print."""
 
 import re
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from almostid.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _shown(command):
+    """The output lines the README prints under ``$ command``."""
+    (block,) = re.findall(rf"^\$ {re.escape(command)}\n(.*?)\n```", README, re.M | re.S)
+    return block.split("\n")
+
+
+def _run(command):
+    result = CliRunner().invoke(main, command.split()[1:])
+    assert result.exit_code == 0
+    return result.output
 
 
 def test_python_block_runs():
@@ -21,7 +34,18 @@ def test_python_block_runs():
 
 def test_verify_console_line_matches_cli():
     command = "almostid verify --n 4 --digits 20"
-    (line,) = re.findall(rf"^\$ {re.escape(command)}\n(.*)\n", README, re.M)
-    result = CliRunner().invoke(main, command.split()[1:])
-    assert result.exit_code == 0
-    assert result.output == line + "\n"
+    assert _run(command) == "\n".join(_shown(command)) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    "almostid scan --n 1..3 --bases 2,3 --digits 30 --format csv",
+    "almostid gallery --item ramanujan163 --digits 50",
+])
+def test_elided_console_lines_match_cli(command):
+    # each shown line is its output line with "..." standing for elided text
+    shown = _shown(command)
+    output = _run(command).splitlines()
+    assert len(shown) <= len(output)
+    for line, actual in zip(shown, output):
+        pattern = ".*?".join(re.escape(fragment) for fragment in line.split("..."))
+        assert re.fullmatch(pattern, actual), (line, actual)

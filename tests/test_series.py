@@ -1,7 +1,6 @@
 """Tests for the bilateral sums, exact targets, hyperbolic correction
 series, the recurrence, and grid scanning."""
 
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from almostid import (
+    ConvergenceError,
     DomainError,
     IdentityReport,
     PrecisionContext,
@@ -103,6 +103,14 @@ class TestUDirect:
         few = u_direct(20, 2, ctx30)
         many = u_direct(1, 2, ctx30)
         assert 1 <= few.terms_used < many.terms_used
+
+    def test_term_cap_refuses_before_summing(self, ctx30, monkeypatch):
+        # u_1(2) at 30 digits needs ~300 terms; the estimate alone must trip the cap
+        import almostid.series as series_mod
+
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError, match=r"K = \d+ terms at n=1, m=2"):
+            u_direct(1, 2, ctx30)
 
     @pytest.mark.parametrize("n", [0, -2, 2.5, True])
     def test_bad_n(self, n, ctx30):
@@ -398,21 +406,30 @@ class TestScan:
         assert scan([], [2], ctx30) == []
         assert scan([1], [], ctx30) == []
 
-    def test_bad_cell_becomes_error_row(self, ctx30):
-        rows = scan([0, 1], [2], ctx30)
-        assert len(rows) == 2
-        assert isinstance(rows[0], ScanError)
-        assert rows[0].n == 0 and rows[0].base_m == 2
-        assert rows[0].message
-        assert isinstance(rows[1], IdentityReport)
+    def test_bad_cell_becomes_error_row(self, ctx30, monkeypatch):
+        # a DomainError at n = 0 and a ConvergenceError at (n, m) = (2, 3)
+        # each fail their own cell only; every other cell is verify_identity's
+        import almostid.series as series_mod
 
-    def test_reports_equal_verify_identity(self, ctx30):
-        rows = scan(range(1, 9), [2, 3, 10**6], ctx30)
-        assert len(rows) == 24
+        real = series_mod.predicted_correction
+
+        def fail_at_2_3(n, base_m, ctx):
+            if (n, base_m) == (2, 3):
+                raise ConvergenceError("no convergence at n = 2, m = 3")
+            return real(n, base_m, ctx)
+
+        monkeypatch.setattr(series_mod, "predicted_correction", fail_at_2_3)
+        rows = scan([0, 1, 2, 3], [2, 3, 10**6], ctx30)
+        assert [(r.base_m, r.n) for r in rows] == [
+            (m, n) for m in (2, 3, 10**6) for n in (0, 1, 2, 3)]
+        errors = {(r.n, r.base_m): r.message for r in rows if isinstance(r, ScanError)}
+        assert errors == {
+            (0, m): "n = 0 diverges: every bilateral term equals ln(m)" for m in (2, 3, 10**6)
+        } | {(2, 3): "no convergence at n = 2, m = 3"}
+        monkeypatch.setattr(series_mod, "predicted_correction", real)
         for rep in rows:
-            single = verify_identity(rep.n, rep.base_m, ctx30)
-            for f in fields(IdentityReport):
-                assert getattr(rep, f.name) == getattr(single, f.name), (rep.n, rep.base_m, f.name)
+            if isinstance(rep, IdentityReport):
+                assert rep == verify_identity(rep.n, rep.base_m, ctx30), (rep.n, rep.base_m)
 
     def test_deterministic(self, ctx30):
         a = scan([1, 4], [2, 4], ctx30)
