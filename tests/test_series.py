@@ -1,6 +1,7 @@
 """Tests for the bilateral sums, exact targets, hyperbolic correction
 series, the recurrence, and grid scanning."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,14 @@ class TestScan:
         for rep in rows:
             if isinstance(rep, IdentityReport):
                 assert rep == verify_identity(rep.n, rep.base_m, ctx30), (rep.n, rep.base_m)
+
+    def test_reports_equal_verify_identity(self, ctx30):
+        rows = scan(range(1, 9), [2, 3, 10**6], ctx30)
+        assert len(rows) == 24
+        for rep in rows:
+            single = verify_identity(rep.n, rep.base_m, ctx30)
+            for f in fields(IdentityReport):
+                assert getattr(rep, f.name) == getattr(single, f.name), (rep.n, rep.base_m, f.name)
 
     def test_deterministic(self, ctx30):
         a = scan([1, 4], [2, 4], ctx30)
