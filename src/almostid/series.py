@@ -87,6 +87,13 @@ def _check_base(base_m):
         raise DomainError(f"base must be an integer >= 2, got {base_m!r}")
 
 
+def _digit_count(m):
+    """Decimal digits of an int m >= 1, without str(m), which Python refuses
+    past 4300 digits; math.log10 is within one of the count."""
+    d = int(math.log10(m)) + 1
+    return d + (m >= 10**d) - (m < 10 ** (d - 1))
+
+
 def u_direct(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     """Bilateral sum via the k <-> -k symmetry: ln(m)*(2^-n + 2*sum_{k>=1}).
 
@@ -206,6 +213,15 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
         steps = [(mpf((j - 4) ** 2) / 4 if j > 3 else mpf(0), v)
                  for j, v in zip(columns, weights[1:])]
 
+        # e^(-k beta) < 10^(-working digits) needs k > working digits * ln 10 / beta
+        # whatever the polynomial does, so a base that large is refused unsummed
+        name = "predicted_correction" if chain else "r_correction"
+        at = f"n={n} and a base of {_digit_count(base_m)} digits"
+        k_min = ctx.working_digits * mp.ln10 / beta
+        if k_min > _MAX_TERMS:
+            raise ConvergenceError(
+                f"{name} needs over {int(k_min)} terms at {at}, over the cap {_MAX_TERMS}")
+
         partial = mpf(0)
         prev = None
         qk = mpf(1)
@@ -213,8 +229,7 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
         while True:
             k += 1
             if k > _MAX_TERMS:
-                name = "predicted_correction" if chain else "r_correction"
-                raise ConvergenceError(f"{name} stalled at n={n}, m={base_m}")
+                raise ConvergenceError(f"{name} stalled at {at}, over the cap {_MAX_TERMS}")
             qk *= q
             w = c2 * (k * k)
             s = weights[0]

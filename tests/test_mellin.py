@@ -1,6 +1,7 @@
 """Tests for the transform closed forms, the independent quadrature route,
 dilate sums, the dual expansion checks, and the antiderivative lemma."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -203,8 +204,9 @@ class TestRefineTrapezoid:
 
 
 class TestNodeCap:
-    # A first trapezoid level over 10^5 nodes is refused before any node is
-    # evaluated; at s = 1e-9 it would have ~2e11.
+    # A rate-bound span in t over 10^5 steps is refused before any node is
+    # evaluated: steps of 0.5 for mellin_numeric (whose grid is in u), of
+    # ln2/2 for the harmonic check.  At s = 1e-9 it would be ~2e11 steps.
     def test_mellin_numeric(self, ctx30):
         with pytest.raises(DomainError, match=r"s = 1\.0e-9 .* strip \(0\.0, 1\.0\) of g2"):
             mellin_numeric("g2", Fraction(1, 10**9), ctx30)
@@ -225,8 +227,8 @@ class TestDilateNodes:
         top, bottom = 30 * steps_per_ln2 + 1, -60 * steps_per_ln2 + 1
         with mp.workdps(45):
             h = mp.ln(2) / steps_per_ln2
-            nodes = dict(_dilate_nodes(g, h, top, bottom, stride,
-                                       steps_per_ln2 // stride))
+            nodes = {j: value for j, _, value, _ in
+                     _dilate_nodes(g, mpf(1) / 4, h, top, bottom, stride, steps_per_ln2 // stride)}
             last_window = range(top, top - steps_per_ln2, -stride)
             inner = (top - 3 * steps_per_ln2, top - 20 * steps_per_ln2 - stride, bottom)
             for j in (*last_window, *inner):
@@ -235,6 +237,50 @@ class TestDilateNodes:
                 for k in range(1, (top - j) // steps_per_ln2 + 2):
                     literal += g(2**k * x)
                 assert abs(nodes[j] - literal) < mpf(10) ** (-40) * max(1, abs(literal))
+
+
+def _record_levels(monkeypatch):
+    """Wrap _dilate_nodes so each level's arguments and nodes are kept."""
+    levels = []
+
+    def recorded(g, s, h, top, bottom, stride, period):
+        nodes = list(_dilate_nodes(g, s, h, top, bottom, stride, period))
+        levels.append(((s, h, stride, period), nodes))
+        return iter(nodes)
+
+    monkeypatch.setattr(mellin_mod, "_dilate_nodes", recorded)
+    return levels
+
+
+class TestCarriedExponentials:
+    def test_longest_chain_matches_direct_exp(self, monkeypatch):
+        # Each level's top node heads a chain of ~span/ln 2 nodes (~2.9e3
+        # here) whose x is halved and x^s multiplied by 2^-s at every step;
+        # neither may drift from mp.exp by more than 10^6 roundings.
+        ctx = PrecisionContext(digits=60)
+        levels = _record_levels(monkeypatch)
+        harmonic_factor_check("g1", Fraction(1, 8), ctx)
+        assert len(levels) >= 3
+        with mp.workdps(ctx.working_digits):
+            tol = mpf(10) ** (-(ctx.working_digits - 6))
+            for (s, h, stride, period), nodes in levels:
+                chain = nodes[::period]
+                assert len(chain) > 2500
+                for j, x, _, weight in chain:
+                    assert abs(x / mp.exp(j * h) - 1) < tol
+                    assert abs(weight / mp.exp(s * j * h) - 1) < tol
+
+    def test_exp_calls_per_level_not_per_node(self, ctx30, monkeypatch):
+        # Only the chain heads, the first ln 2 of a level, call exp (two
+        # each, for x and x^s): 2, 2 and 4 heads on the three levels.
+        exp_calls = []
+        real_exp = mp.exp
+        monkeypatch.setattr(mp, "exp", lambda z: exp_calls.append(z) or real_exp(z))
+        levels = _record_levels(monkeypatch)
+        harmonic_factor_check("g2", Fraction(1, 4), ctx30)
+        nodes = sum(len(level) for _, level in levels)
+        assert nodes > 5000
+        assert len(exp_calls) <= 8 * len(levels)
 
 
 class TestHarmonicFactor:
@@ -268,6 +314,30 @@ class TestDualRoutes:
         assert check.passed
         with mp.workdps(60):
             assert check.abs_err.value < mpf(10) ** (-25)
+
+    @pytest.mark.parametrize("n,x,digits", [(1, "0.1", 200), (1, "1e-30", 30), (1, "1e8", 30),
+                                            (2, "0.45", 200), (2, "1e-30", 30), (2, "1e50", 30)])
+    def test_direct_stops_at_first_k_under_tol(self, n, x, digits):
+        # reference: the plain loop that evaluates the tail bound after every term
+        ctx = PrecisionContext(digits=digits)
+        got = g_direct(n, x, ctx)
+        with mp.workdps(ctx.working_digits):
+            tol = mpf(10) ** (-ctx.working_digits)
+            total, y = mpf(0), mpf(x)
+            while True:
+                y *= 2
+                total += (_g1 if n == 1 else _g2)(y)
+                tail = 2 / mp.sqrt(2 * y) / (1 - 1 / mp.sqrt(mpf(2))) if n == 1 else 1 / y
+                if tail < tol:
+                    break
+            assert got.value == total
+
+    def test_direct_term_cap_refused_up_front(self, ctx30):
+        # ~1.3e5 terms needed, over the cap of 1e5: refused without summing
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="over the cap"):
+            g_direct(2, mpf(10) ** -40000, ctx30)
+        assert time.perf_counter() - start < 1
 
     def test_direct_stable_across_precision(self):
         lo = g_direct(1, 1, PrecisionContext(digits=25))

@@ -1,6 +1,7 @@
 """Tests for the bilateral sums, exact targets, hyperbolic correction
 series, the recurrence, and grid scanning."""
 
+import time
 from dataclasses import fields
 from fractions import Fraction
 
@@ -344,6 +345,14 @@ class TestPredictedCorrection:
                 if j > 2:
                     factor *= recurrence_factor(j)
             assert 0 < dropped <= pred.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+
+    def test_term_cap_refuses_huge_base_before_summing(self, ctx30):
+        # beta = 2 pi^2 / ln(10^30000) asks for ~3.6e5 terms, over the cap;
+        # the message names the base by its 30001 digits, which str() refuses
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"n=1 and a base of 30001 digits"):
+            predicted_correction(1, 10**30000, ctx30)
+        assert time.perf_counter() - start < 1
 
 
 class TestRecurrence:
