@@ -33,12 +33,6 @@ from . import series as series_mod
 from .errors import ConvergenceError, DomainError
 from .precision import PrecisionContext, wrap
 
-_GALLERY_NAMED = ("ramanujan37", "ramanujan58", "ramanujan163",
-                  "triangle_l", "e_pi_minus_pi", "borwein")
-_HICKERSON = tuple(f"hickerson{n}" for n in range(1, 18))
-_GALLERY_ITEMS = ("all", *_GALLERY_NAMED, "hickerson")
-
-
 def parse_int_range(text: str):
     """'7' -> [7]; 'a..b' -> [a..b] inclusive (empty when b < a)."""
     text = text.strip()
@@ -138,16 +132,6 @@ def _emit_identity(rows, ctx, gate, fmt, out_path, single=False):
     _emit(report_mod.IDENTITY_COLUMNS, rows, fmt, out_path, ok, single)
 
 
-def _gallery_entry(item: str, ctx: PrecisionContext):
-    if item.startswith("ramanujan"):
-        return gallery_mod.ramanujan_constant(int(item[len("ramanujan"):]), ctx)
-    if item.startswith("hickerson"):
-        return gallery_mod.hickerson(int(item[len("hickerson"):]), ctx)
-    if item == "borwein":
-        return gallery_mod.borwein_sum(ctx)
-    return gallery_mod.misc_constant(item, ctx)
-
-
 @contextmanager
 def _usage_errors():
     # option parsing and the computation itself both raise DomainError,
@@ -212,7 +196,7 @@ def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
 
 
 @main.command()
-@click.option("--functions", "functions_text", default="g1,g2,fn3,fn4,fn5,fn6,fn7",
+@click.option("--functions", "functions_text", default=",".join(mellin_mod.FUNCTION_GRID),
               show_default=True, help="Comma list from g1, g2, fn<n>.")
 @click.option("--s", "s_text", default="1/8,1/4,3/8", show_default=True,
               help="Comma list of s values (fractions or decimals).")
@@ -229,8 +213,8 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
         threshold = mellin_mod.pass_threshold(ctx)
         cells = [("transform", fid, text) for fid in functions for text in s_texts]
         if harmonic:
-            cells += [("harmonic", fid, text) for fid in functions if fid in ("g1", "g2")
-                      for text in s_texts]
+            cells += [("harmonic", fid, text) for fid in functions
+                      if fid in mellin_mod.HARMONIC_FUNCTIONS for text in s_texts]
 
         def row_of(cell):
             kind, fid, text = cell
@@ -278,11 +262,8 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
                  for u in parse_str_list(u_text)]
         ctx = PrecisionContext(digits=digits)
         with mp.workdps(ctx.working_digits):
-            h_value = (
-                mpf(10) ** (-mpf(ctx.digits) / 3)
-                if h_text is None
-                else _parse_decimal(h_text, "step h")
-            )
+            h_value = (mellin_mod.lemma_step(ctx) if h_text is None
+                       else _parse_decimal(h_text, "step h"))
             bound = wrap(10 * h_value**2, ctx)
             h_big = wrap(h_value, ctx)
 
@@ -297,16 +278,18 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
 
 
 @main.command()
-@click.option("--item", type=click.Choice(_GALLERY_ITEMS), default="all", show_default=True)
+@click.option("--item", type=click.Choice(("all", *gallery_mod.NAMED, "hickerson")),
+              default="all", show_default=True)
 @_common_options
 def gallery(item, digits, fmt, out_path):
     """Recompute the catalogue of famous almost identities."""
     with _usage_errors():
         ctx = PrecisionContext(digits=digits)
-        items = {"all": _GALLERY_NAMED + _HICKERSON, "hickerson": _HICKERSON}.get(item, (item,))
+        items = {"all": gallery_mod.NAMED + gallery_mod.HICKERSON,
+                 "hickerson": gallery_mod.HICKERSON}.get(item, (item,))
         columns = report_mod.GALLERY_COLUMNS
         rows = _rows(columns, ("item", "digits"), [(name, digits) for name in items],
-                     lambda cell: report_mod.gallery_row(_gallery_entry(cell[0], ctx)))
+                     lambda cell: report_mod.gallery_row(gallery_mod.entry(cell[0], ctx)))
         _emit(columns, rows, fmt, out_path)
 
 

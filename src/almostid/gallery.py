@@ -19,6 +19,10 @@ _RAMANUJAN_D = (37, 58, 163)
 _BORWEIN_DIGIT_CAP = 2000
 _HICKERSON_MAX = 17
 
+# the catalogue's item ids, in report order
+NAMED = (*(f"ramanujan{d}" for d in _RAMANUJAN_D), "triangle_l", "e_pi_minus_pi", "borwein")
+HICKERSON = tuple(f"hickerson{n}" for n in range(1, _HICKERSON_MAX + 1))
+
 
 @dataclass(frozen=True)
 class GalleryEntry:
@@ -28,6 +32,32 @@ class GalleryEntry:
     reference: Union[BigReal, int]
     delta: BigReal
     digits: int
+
+
+def entry(item: str, ctx: PrecisionContext) -> GalleryEntry:
+    """The entry of one NAMED or HICKERSON item id."""
+    if item not in NAMED + HICKERSON:
+        raise DomainError(f"unknown gallery item {item!r}")
+    if item.startswith("ramanujan"):
+        return ramanujan_constant(int(item[len("ramanujan"):]), ctx)
+    if item.startswith("hickerson"):
+        return hickerson(int(item[len("hickerson"):]), ctx)
+    if item == "borwein":
+        return borwein_sum(ctx)
+    return misc_constant(item, ctx)
+
+
+def _entry(id, description, value, reference, ctx) -> GalleryEntry:
+    """value against reference, an exact int or an mpf, with delta =
+    value - reference; called under ctx's working precision."""
+    return GalleryEntry(
+        id=id,
+        description=description,
+        value=wrap(value, ctx),
+        reference=reference if isinstance(reference, int) else wrap(reference, ctx),
+        delta=wrap(value - reference, ctx),
+        digits=ctx.digits,
+    )
 
 
 def ramanujan_constant(d: int, ctx: PrecisionContext) -> GalleryEntry:
@@ -42,15 +72,8 @@ def ramanujan_constant(d: int, ctx: PrecisionContext) -> GalleryEntry:
         raise DomainError(f"ramanujan entries need digits >= 40, got {ctx.digits}")
     with mp.workdps(ctx.working_digits):
         value = mp.exp(mp.pi * mp.sqrt(mpf(d)))
-        reference = int(mp.nint(value))
-        return GalleryEntry(
-            id=f"ramanujan{d}",
-            description=f"exp(pi*sqrt({d})) vs nearest integer",
-            value=wrap(value, ctx),
-            reference=reference,
-            delta=wrap(value - reference, ctx),
-            digits=ctx.digits,
-        )
+        return _entry(f"ramanujan{d}", f"exp(pi*sqrt({d})) vs nearest integer",
+                      value, int(mp.nint(value)), ctx)
 
 
 def misc_constant(id: str, ctx: PrecisionContext) -> GalleryEntry:
@@ -71,14 +94,7 @@ def misc_constant(id: str, ctx: PrecisionContext) -> GalleryEntry:
             description = "e^pi - pi vs 20"
         else:
             raise DomainError(f"unknown constant id {id!r}")
-        return GalleryEntry(
-            id=id,
-            description=description,
-            value=wrap(value, ctx),
-            reference=wrap(reference, ctx),
-            delta=wrap(value - reference, ctx),
-            digits=ctx.digits,
-        )
+        return _entry(id, description, value, reference, ctx)
 
 
 def borwein_sum(ctx: PrecisionContext) -> GalleryEntry:
@@ -109,20 +125,13 @@ def borwein_sum(ctx: PrecisionContext) -> GalleryEntry:
             total += 2 * power
             if (mpf(k) / 100) ** 2 > cutoff:
                 break
-        reference = 100 * mp.sqrt(mp.pi / mp.ln(mpf(10)))
-        delta = total - reference
-        if not abs(delta) < mpf(10) ** (-ctx.digits):
+        result = _entry("borwein", "sum of 10^(-(k/100)^2) vs 100 sqrt(pi/ln 10)",
+                        total, 100 * mp.sqrt(mp.pi / mp.ln(mpf(10))), ctx)
+        if not abs(result.delta.value) < mpf(10) ** (-ctx.digits):
             raise ConvergenceError(
                 f"borwein agreement contract violated at {ctx.digits} digits"
             )
-        return GalleryEntry(
-            id="borwein",
-            description="sum of 10^(-(k/100)^2) vs 100 sqrt(pi/ln 10)",
-            value=wrap(total, ctx),
-            reference=wrap(reference, ctx),
-            delta=wrap(delta, ctx),
-            digits=ctx.digits,
-        )
+        return result
 
 
 def ordered_bell(n: int) -> int:
@@ -153,18 +162,12 @@ def hickerson(n: int, ctx: PrecisionContext) -> GalleryEntry:
         raise DomainError(f"hickerson supports 1 <= n <= {_HICKERSON_MAX}, got {n!r}")
     with mp.workdps(ctx.working_digits):
         value = mpf(math.factorial(n)) / (2 * mp.ln(mpf(2)) ** (n + 1))
-        reference = ordered_bell(n)
-        delta = value - reference
-        if int(mp.nint(value)) != reference:
+        result = _entry(f"hickerson{n}", f"{n}!/(2 ln(2)^{n + 1}) vs ordered Bell a({n})",
+                        value, ordered_bell(n), ctx)
+        if int(mp.nint(value)) != result.reference:
             raise ConvergenceError(
-                f"rounding identity fails at n={n}: value - a(n) = {mp.nstr(delta, 10)}, "
-                f"round(value) = {int(mp.nint(value))} but a({n}) = {reference}"
+                f"rounding identity fails at n={n}: value - a(n) = "
+                f"{mp.nstr(result.delta.value, 10)}, "
+                f"round(value) = {int(mp.nint(value))} but a({n}) = {result.reference}"
             )
-        return GalleryEntry(
-            id=f"hickerson{n}",
-            description=f"{n}!/(2 ln(2)^{n + 1}) vs ordered Bell a({n})",
-            value=wrap(value, ctx),
-            reference=reference,
-            delta=wrap(delta, ctx),
-            digits=ctx.digits,
-        )
+        return result

@@ -12,9 +12,13 @@ Routes verified against each other:
 All integrands become analytic and exponentially decaying in both directions
 after x = e^t, where the trapezoid rule converges geometrically; t = sinh u
 makes the decay of the transform integrand double-exponential, which shrinks
-its grid from thousands of nodes to a few hundred.  One refinement loop
-serves both quadratures, halving the step until the difference of two levels,
-or its digit-doubling extrapolation, says the newest one is within tolerance.
+its grid from thousands of nodes to a few hundred.  One trapezoid rule,
+_refine_trapezoid, serves both quadratures: it picks each level's nodes,
+halves the ends, keeps the running sum, and halves the step until two levels,
+or their digit-doubling extrapolation, say the newest is within tolerance.
+Each quadrature only yields integrand values at the nodes asked for, in its
+own variable.  _kernel is the one table of each function's f, strip and
+decay rates.
 
 Grid abscissae are fixed multiples of one another, so most exponentials are
 carried instead of called: mellin_numeric carries e^u from node to node of a
@@ -36,6 +40,8 @@ from .errors import ConvergenceError, DomainError
 from .precision import BigReal, PrecisionContext, to_mpf, wrap
 
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
+# the functions whose dilate sum has a closed transform here
+HARMONIC_FUNCTIONS = ("g1", "g2")
 
 _FN_RE = re.compile(r"^fn(\d+)$")
 
@@ -80,25 +86,6 @@ def parse_function_id(function_id: str):
     raise DomainError(f"unknown function id {function_id!r}")
 
 
-def _strip_bounds(kind, n):
-    # fundamental strip of convergence per function
-    if kind == "g2":
-        return mpf(0), mpf(1)
-    if kind == "g1":
-        return mpf(0), mpf(1) / 2
-    return mpf(0), min(mpf(1) / 2, mpf(n - 2) / 2)
-
-
-def _check_strip(kind, n, s, function_id):
-    # per-function strips: g2 extends to (0,1), so s=1/2 is interior there
-    # even though the family-wide common strip is (0,1/2)
-    lo, hi = _strip_bounds(kind, n)
-    if not (lo < s < hi):
-        raise DomainError(
-            f"s = {mp.nstr(s, 12)} outside the strip ({mp.nstr(lo, 6)}, {mp.nstr(hi, 6)}) of {function_id}"
-        )
-
-
 def _g1(x):
     # 2*atan(1/sqrt(x)), branch chosen to avoid cancellation at either extreme
     if x <= 1:
@@ -114,44 +101,67 @@ def _fn(n, x):
     return (mp.sqrt(x) / (1 + x)) ** (n - 2) * ((1 - x) / (1 + x))
 
 
-def _direct_fn(kind, n):
-    if kind == "g1":
-        return _g1
-    if kind == "g2":
-        return _g2
-    return lambda x: _fn(n, x)
+def _kernel(function_id):
+    """(f, hi, a, b) of a transform function: f itself, the top of its strip
+    (0, hi), and the offsets of the decay rates s + a and b - s of
+    f(e^t) e^{st} to the left and right of t = 0.
 
-
-def _decay_rates(kind, n, s):
-    # integrand f(e^t) e^{st}: exponential decay rate to the left / right of 0
-    if kind == "fn":
-        return s + mpf(n - 2) / 2, mpf(n - 2) / 2 - s
-    if kind == "g1":
-        return s, mpf(1) / 2 - s
-    return s, 1 - s
-
-
-def _refine_trapezoid(level_sum, n, h, tol, max_levels=14):
-    """Trapezoid sums with step halving until the newest estimate is within tol.
-
-    ``level_sum(n, h, first)`` sums the nodes that are new at step h (n
-    steps): all of them, ends halved, when ``first``, else the midpoints of
-    the previous level.  Every substituted integrand here is analytic in a
-    strip around the real line, where the trapezoid error falls like
-    e^{-c/h}: each halving about doubles the correct digits.  So with
-    d_k = |I_k - I_{k-1}|, which is about the error of I_{k-1}, the error of
-    I_k is about d_k^2 / d_{k-1} (the digit-doubling estimate of Bailey,
-    Jeyabalan and Li, Exp. Math. 2005).  A level is accepted when
-    d_k < tol, or when _DOUBLING_SAFETY * d_k^2 / d_{k-1} < tol; the second
-    rule saves the last, confirming halving, which holds half of all nodes.
+    Per-function strips: g2 extends to (0, 1), so s = 1/2 is interior there
+    even though the family-wide common strip is (0, 1/2).
     """
-    acc = level_sum(n, h, True)
+    kind, n = parse_function_id(function_id)
+    if kind == "g1":
+        return _g1, mpf(1) / 2, mpf(0), mpf(1) / 2
+    if kind == "g2":
+        return _g2, mpf(1), mpf(0), mpf(1)
+    half = mpf(n - 2) / 2
+    return (lambda x: _fn(n, x)), min(mpf(1) / 2, half), half, half
+
+
+def _check_strip(function_id, s):
+    """The _kernel of function_id, once s is inside its strip."""
+    kernel = _kernel(function_id)
+    hi = kernel[1]
+    if not 0 < s < hi:
+        raise DomainError(
+            f"s = {mp.nstr(s, 12)} outside the strip (0.0, {mp.nstr(hi, 6)}) of {function_id}"
+        )
+    return kernel
+
+
+def _refine_trapezoid(values, n, h, tol, max_levels=14):
+    """Trapezoid rule with step halving until the newest estimate is within tol.
+
+    ``values(n, h, indices)`` yields the integrand, in whatever variable the
+    use integrates over, at the nodes of step h whose indices, out of 0..n,
+    are in the range ``indices``; it may run that range in either direction.
+    The rule is applied here: the first level asks for every node and halves
+    the two ends, every later level asks only for the odd midpoints, and one
+    running sum of node values, times h, is the estimate.
+
+    Every substituted integrand here is analytic in a strip around the real
+    line, where the trapezoid error falls like e^{-c/h}: each halving about
+    doubles the correct digits.  So with d_k = |I_k - I_{k-1}|, which is
+    about the error of I_{k-1}, the error of I_k is about d_k^2 / d_{k-1}
+    (the digit-doubling estimate of Bailey, Jeyabalan and Li, Exp. Math.
+    2005).  A level is accepted when d_k < tol, or when
+    _DOUBLING_SAFETY * d_k^2 / d_{k-1} < tol; the second rule saves the
+    last, confirming halving, which holds half of all nodes.
+    """
+
+    def level_sum(indices, ends):
+        total = mpf(0)
+        for i, term in enumerate(values(n, h, indices)):
+            total += term / 2 if i in ends else term
+        return total
+
+    acc = level_sum(range(n + 1), (0, n))
     estimate = acc * h
     prev = None
     for _ in range(max_levels):
         n *= 2
         h /= 2
-        acc += level_sum(n, h, False)
+        acc += level_sum(range(1, n, 2), ())
         new = acc * h
         delta = abs(new - estimate)
         if delta < tol or (prev is not None and _DOUBLING_SAFETY * delta**2 < tol * prev):
@@ -160,26 +170,24 @@ def _refine_trapezoid(level_sum, n, h, tol, max_levels=14):
     raise ConvergenceError("trapezoid refinement did not stabilize before the level cap")
 
 
-def _exp_axis(function_id, kind, n, s, ctx, step):
-    """Cutoffs t_left < t_right of f(e^t) e^{st} and the agreement tolerance;
-    a span t_right - t_left of more than _MAX_NODES steps of ``step`` is a
-    DomainError."""
-    _check_strip(kind, n, s, function_id)
-    rate_l, rate_r = _decay_rates(kind, n, s)
+def _exp_axis(function_id, s, ctx, step):
+    """f of function_id, the cutoffs t_left < t_right of f(e^t) e^{st}, and
+    the agreement tolerance; a span t_right - t_left of more than _MAX_NODES
+    steps of ``step`` is a DomainError."""
+    f, hi, a, b = _check_strip(function_id, s)
     # cutoffs sized so the dropped tails sit far below the agreement target;
     # the +25 absorbs constant and slowly-varying (logarithmic) prefactors
     target_exp = (ctx.digits + 10) * mp.ln(10)
-    t_left = -((target_exp + 25) / rate_l + 5)
-    t_right = (target_exp + 25) / rate_r + 5
+    t_left = -((target_exp + 25) / (s + a) + 5)
+    t_right = (target_exp + 25) / (b - s) + 5
     nodes = (t_right - t_left) / step
     if nodes > _MAX_NODES:
-        lo, hi = _strip_bounds(kind, n)
         raise DomainError(
-            f"s = {mp.nstr(s, 12)} is too near an edge of the strip ({mp.nstr(lo, 6)}, "
+            f"s = {mp.nstr(s, 12)} is too near an edge of the strip (0.0, "
             f"{mp.nstr(hi, 6)}) of {function_id}: its rate-bound span in t would take "
             f"{mp.nstr(nodes, 3)} steps of {mp.nstr(step, 3)}, over the cap of {_MAX_NODES}"
         )
-    return t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
+    return f, t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
 
 
 def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -193,33 +201,36 @@ def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     per node, with sinh u and cosh u taken as (e^u -+ e^{-u})/2.  That leaves
     two exps per node, e^t and e^{st}, plus what f itself calls.
     """
-    kind, n = parse_function_id(function_id)
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        t_left, t_right, tol = _exp_axis(function_id, kind, n, sv, ctx, _STEP)
+        f, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
         u_left, u_right = mp.asinh(t_left), mp.asinh(t_right)
-        f = _direct_fn(kind, n)
 
-        def level_sum(steps, h, first):
+        def values(n, h, indices):
             # e^u drifts by about one rounding per node, relative: log10 of the
             # level's node count in digits (3 at the ~10^3 nodes of a 200-digit
             # level) of the 15 guard digits.  A direct u_left + j h is itself
             # off by up to |u| <= 12 roundings.
-            start, stride = (0, 1) if first else (1, 2)
-            e = mp.exp(u_left + start * h)
-            ratio = mp.exp(stride * h)
-            total = mpf(0)
-            for j in range(start, steps + 1, stride):
+            e = mp.exp(u_left + indices.start * h)
+            ratio = mp.exp(indices.step * h)
+            for _ in indices:
                 inv = 1 / e
                 t = (e - inv) / 2
-                term = f(mp.exp(t)) * mp.exp(sv * t) * (e + inv) / 2
-                total += term / 2 if first and j in (0, steps) else term
+                yield f(mp.exp(t)) * mp.exp(sv * t) * (e + inv) / 2
                 e *= ratio
-            return total
 
         span = u_right - u_left
         steps = max(8, int(mp.ceil(span / _STEP)))
-        return wrap(_refine_trapezoid(level_sum, steps, span / steps, tol), ctx)
+        return wrap(_refine_trapezoid(values, steps, span / steps, tol), ctx)
+
+
+def _off_pole(kind, trig, s, ctx):
+    """trig(pi s), refused as a pole of the closed form where it vanishes to
+    working precision."""
+    value = trig(mp.pi * s)
+    if abs(value) < mpf(10) ** (-ctx.working_digits):
+        raise DomainError(f"{kind} closed form at a pole: s = {mp.nstr(s, 12)}")
+    return value
 
 
 def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -234,31 +245,20 @@ def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     kind, n = parse_function_id(function_id)
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        _check_strip(kind, n, sv, function_id)
-        guard = mpf(10) ** (-ctx.working_digits)
+        _check_strip(function_id, sv)
         if kind == "g1":
-            c = mp.cos(mp.pi * sv)
-            if abs(c) < guard or sv == 0:
-                raise DomainError(f"g1 closed form at a pole: s = {mp.nstr(sv, 12)}")
-            return wrap(mp.pi / (sv * c), ctx)
+            return wrap(mp.pi / (sv * _off_pole(kind, mp.cos, sv, ctx)), ctx)
         if kind == "g2":
-            si = mp.sin(mp.pi * sv)
-            if abs(si) < guard:
-                raise DomainError(f"g2 closed form at a pole: s = {mp.nstr(sv, 12)}")
-            return wrap(mp.pi / si, ctx)
+            return wrap(mp.pi / _off_pole(kind, mp.sin, sv, ctx), ctx)
         if n % 2 == 0:
             l = n // 2
-            si = mp.sin(mp.pi * sv)
-            if abs(si) < guard:
-                raise DomainError(f"fn closed form at a pole: s = {mp.nstr(sv, 12)}")
+            si = _off_pole(kind, mp.sin, sv, ctx)
             prod = mpf(1)
             for j in range(l - 1):
                 prod *= mpf(j) ** 2 - sv**2
             return wrap(2 * mp.pi * prod / (math.factorial(2 * l - 2) * si), ctx)
         l = (n - 1) // 2
-        c = mp.cos(mp.pi * sv)
-        if abs(c) < guard:
-            raise DomainError(f"fn closed form at a pole: s = {mp.nstr(sv, 12)}")
+        c = _off_pole(kind, mp.cos, sv, ctx)
         prod = mpf(1)
         for j in range(l - 1):
             prod *= (j + mpf(1) / 2) ** 2 - sv**2
@@ -331,29 +331,25 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal
     Only g1 and g2 have closed transforms available here; the fn family's
     dilate-sum expansion coefficients are deliberately out of scope.
     """
-    kind, _ = parse_function_id(function_id)
-    if kind == "fn":
+    if function_id not in HARMONIC_FUNCTIONS:
         raise DomainError("harmonic factor check supports g1 and g2 only")
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
         h0 = mp.ln(2) / 2
-        t_left, t_right, tol = _exp_axis(function_id, kind, None, sv, ctx, h0)
+        g, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, h0)
         lo = int(mp.floor(t_left / h0))
         hi = int(mp.ceil(t_right / h0))
-        g = _direct_fn(kind, None)
 
-        def level_sum(n, h, first):
+        def values(n, h, indices):
+            # node i of the level sits at t = (bottom + i) h; right to left
             scale = n // (hi - lo)
-            stride = 1 if first else 2
-            top, bottom = hi * scale, lo * scale
-            total = mpf(0)
-            for j, _, value, weight in _dilate_nodes(g, sv, h, top - stride + 1, bottom + stride - 1,
-                                                     stride, 2 * scale // stride):
-                term = value * weight
-                total += term / 2 if first and j in (top, bottom) else term
-            return total
+            bottom = lo * scale
+            for _, _, value, weight in _dilate_nodes(
+                    g, sv, h, bottom + indices[-1], bottom + indices[0], indices.step,
+                    2 * scale // indices.step):
+                yield value * weight
 
-        quad = _refine_trapezoid(level_sum, hi - lo, h0, tol)
+        quad = _refine_trapezoid(values, hi - lo, h0, tol)
         closed = mellin_closed(function_id, s, ctx).value / (mpf(2) ** sv - 1)
         return wrap(abs(quad - closed), ctx)
 
@@ -413,8 +409,9 @@ def g_expansion(n: int, x, ctx: PrecisionContext) -> BigReal:
     n=2: -1/2 - log2(x) - sum_k (-2)^k x^k/(2^k - 1)
          - (2 pi/ln 2) sum_k sin(2 k pi log2 x)/sinh(2 k pi^2/ln 2)
 
-    Restricted to 0 < x < 1/2 so both power series keep a geometric tail bound
-    (term ratio approaches 2x for n=2).
+    Restricted to 0 < x < 1/2.  In both power series the ratio of consecutive
+    terms tends to -x and stays below x in magnitude at every k, so the
+    remainder after a term t is at most |t| x/(1 - x).
     """
     if n not in (1, 2):
         raise DomainError(f"g_expansion supports n = 1 or 2, got {n!r}")
@@ -499,13 +496,19 @@ def dual_check(n: int, x, ctx: PrecisionContext) -> DualCheck:
         )
 
 
+def lemma_step(ctx: PrecisionContext):
+    """The default finite-difference step of lemma_check, 10^(-digits/3)."""
+    with mp.workdps(ctx.working_digits):
+        return mpf(10) ** (-mpf(ctx.digits) / 3)
+
+
 def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
     """Residual of the antiderivative identity behind the recurrence.
 
     With phi_n(u) = (2^{-(k-u)/2} + 2^{(k-u)/2})^{-n} and
     R(u) = (1/(2 ln2 (n-1))) (2^{(k-u)/2}/(1+2^{k-u}))^{n-2} (1-2^{k-u})/(1+2^{k-u}),
     returns |phi_n(u) - (n-2)/(4(n-1)) phi_{n-2}(u) - dR/du| with dR/du a
-    central difference of step h (default 10^{-digits/3}); the exact identity
+    central difference of step h (default lemma_step(ctx)); the exact identity
     makes the residual pure finite-difference error, O(h^2).
 
     ``h`` is overridable so the h^2 scaling itself can be observed.
@@ -516,7 +519,7 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
         raise DomainError(f"k must be an integer, got {k!r}")
     with mp.workdps(ctx.working_digits):
         uv = to_mpf(u)
-        hv = mpf(10) ** (-mpf(ctx.digits) / 3) if h is None else to_mpf(h)
+        hv = lemma_step(ctx) if h is None else to_mpf(h)
         if hv <= 0:
             raise DomainError("finite-difference step must be positive")
         ln2 = mp.ln(mpf(2))

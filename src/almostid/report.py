@@ -137,8 +137,6 @@ def _csv_cell(value):
         return "true"
     if value is False:
         return "false"
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -148,12 +146,12 @@ def render_csv(rows, columns) -> str:
     writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        writer.writerow([_csv_cell(row[c]) for c in columns])
     return out.getvalue()
 
 
 def render_text(rows, columns) -> str:
     lines = []
     for row in rows:
-        lines.append("  ".join(f"{c}={_csv_cell(row.get(c))}" for c in columns))
+        lines.append("  ".join(f"{c}={_csv_cell(row[c])}" for c in columns))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,6 +17,7 @@ from almostid import (
     ordered_bell,
     ramanujan_constant,
 )
+import almostid.gallery as gallery_mod
 from conftest import leading_digits
 
 # Published nearest integers and the leading three digits of each gap.
@@ -180,3 +181,18 @@ class TestHickerson:
     def test_domain(self, n, ctx50):
         with pytest.raises(DomainError):
             hickerson(n, ctx50)
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("item", gallery_mod.NAMED + gallery_mod.HICKERSON)
+    def test_entry_id_is_item(self, item, ctx50):
+        if item == "hickerson17":
+            with pytest.raises(ConvergenceError):
+                gallery_mod.entry(item, ctx50)
+        else:
+            assert gallery_mod.entry(item, ctx50).id == item
+
+    @pytest.mark.parametrize("item", ["hickerson", "hickerson18", "ramanujan5", "feigenbaum"])
+    def test_unknown_item(self, item, ctx50):
+        with pytest.raises(DomainError, match="unknown gallery item"):
+            gallery_mod.entry(item, ctx50)

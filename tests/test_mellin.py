@@ -173,32 +173,26 @@ class TestQuadratureAgainstClosed:
             assert abs(hi.value - ref) < mpf(10) ** (-35)
 
 
-def _trapezoid_levels(f, t_left):
-    """level_sum for _refine_trapezoid: f at t_left + j h, ends halved."""
-
-    def level_sum(n, h, first):
-        total = mpf(0)
-        for j in range(0, n + 1) if first else range(1, n, 2):
-            term = f(t_left + j * h)
-            total += term / 2 if first and j in (0, n) else term
-        return total
-
-    return level_sum
+def _trapezoid_values(f, t_left, order=iter):
+    """values for _refine_trapezoid: f at t_left + j h, taken in ``order``."""
+    return lambda n, h, indices: (f(t_left + j * h) for j in order(indices))
 
 
 class TestRefineTrapezoid:
     def test_known_integral(self):
-        # integral of sech over [-80, 80] is pi up to ~1e-34 truncation
+        # integral of sech over [-80, 80] is pi up to ~1e-34 truncation, with
+        # each level's nodes taken left to right and right to left
         with mp.workdps(45):
-            got = _refine_trapezoid(_trapezoid_levels(mp.sech, mpf(-80)), 320,
-                                    mpf(1) / 2, mpf(10) ** (-30))
-            assert abs(got - mp.pi) < mpf(10) ** (-28)
+            for order in (iter, reversed):
+                got = _refine_trapezoid(_trapezoid_values(mp.sech, mpf(-80), order), 320,
+                                        mpf(1) / 2, mpf(10) ** (-30))
+                assert abs(got - mp.pi) < mpf(10) ** (-28)
 
     def test_level_cap_raises(self):
         with mp.workdps(45):
             with pytest.raises(ConvergenceError):
                 _refine_trapezoid(
-                    _trapezoid_levels(lambda t: 1 / (1 + t**2), mpf(-10)), 40,
+                    _trapezoid_values(lambda t: 1 / (1 + t**2), mpf(-10)), 40,
                     mpf(1) / 2, mpf(10) ** (-40), max_levels=1,
                 )
 

@@ -1,6 +1,7 @@
 """The README's examples run against the library as it is: its python block
 executes, and its console examples show what the commands print."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -30,6 +31,17 @@ def test_python_block_runs():
     exec(block, namespace)
     assert namespace["report"].passed
     assert len(namespace["rows"]) == 4 * 28
+
+
+def test_library_paragraph_names_exist():
+    # each backticked name in the parentheses after `almostid.<module>`
+    # is an attribute of that module
+    (paragraph,) = re.findall(r"^The transform side lives in .*?\n\n", README, re.M | re.S)
+    listed = re.findall(r"`(almostid\.\w+)` \(([^)]*)\)", paragraph)
+    assert [module for module, _ in listed] == ["almostid.mellin", "almostid.gallery"]
+    for module, names in listed:
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 def test_verify_console_line_matches_cli():
