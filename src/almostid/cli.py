@@ -118,7 +118,7 @@ def _emit(columns, rows, fmt, out_path, ok=True, single=False):
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        click.echo(text, file=sys.stdout, nl=False)
     sys.exit(0 if ok and all(row["pass"] for row in rows) else 1)
 
 

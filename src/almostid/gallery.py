@@ -102,31 +102,44 @@ def borwein_sum(ctx: PrecisionContext) -> GalleryEntry:
 
     Agreement actually extends to thousands of digits; requested digits are
     capped at 2000 to keep this a desk-scale computation.  Truncation stops
-    once (k/100)^2 exceeds working_digits + 1, where every further term is
-    below 10^{-(working_digits+1)}.  q^{k^2} advances by two multiplications
-    per term via q^{k^2} = q^{(k-1)^2} * q^{2k-1}.
+    once (k/100)^2 exceeds working_digits + 1 (tested as k^2 > 10^4 (working
+    digits + 1) in integers), where every further term is below
+    10^{-(working_digits+1)}.  q^{k^2} advances by two multiplications per
+    term via q^{k^2} = q^{(k-1)^2} * q^{2k-1}.
+
+    The loop runs on Python integers at scale 2^bits, bits = working bits
+    + 32.  q and q^2 are floored once from 20 extra digits; each term floors
+    its two products once, 2 floors per term and 2K in all, each below
+    2^-bits.  Every factor is below 1, so no carried error grows, but the
+    floors of q^{2k-1} reach every later power: the sum 1 + 2 sum q^{k^2} is
+    off by less than (K(K+1) + 2KS) 2^-bits, S = sum_{i>=0} (2i+1) q^{i^2}
+    < 10^4/ln 10 + 2, which at 2000 digits (K = 4490) is below 2^(26-bits).
+    The sum becomes an mpf once, at the end.
     """
     if ctx.digits > _BORWEIN_DIGIT_CAP:
         raise DomainError(
             f"borwein sum capped at {_BORWEIN_DIGIT_CAP} digits, got {ctx.digits}"
         )
     with mp.workdps(ctx.working_digits):
-        q = mpf(10) ** (-mpf(1) / 10_000)  # 10^{-(1/100)^2}
-        q2 = q * q
-        power = mpf(1)  # q^{k^2}
-        step = q  # q^{2k-1}
-        total = mpf(1)
+        bits = mp.prec + 32
+        # q^{k^2}, q^{2k-1} and q^2 at scale 2^bits, q = 10^{-(1/100)^2}
+        with mp.extradps(20):
+            q = mpf(10) ** (-mpf(1) / 10_000)
+            step, q2 = int(q * 2**bits), int(q * q * 2**bits)
+        power = 1 << bits
+        total = 0  # sum of q^{k^2} over k >= 1 at scale 2^bits
         k = 0
         cutoff = ctx.working_digits + 1
         while True:
             k += 1
-            power *= step
-            step *= q2
-            total += 2 * power
-            if (mpf(k) / 100) ** 2 > cutoff:
+            power = power * step >> bits
+            step = step * q2 >> bits
+            total += power
+            if k * k > 10_000 * cutoff:
                 break
         result = _entry("borwein", "sum of 10^(-(k/100)^2) vs 100 sqrt(pi/ln 10)",
-                        total, 100 * mp.sqrt(mp.pi / mp.ln(mpf(10))), ctx)
+                        mpf(((1 << bits) + 2 * total, -bits)),
+                        100 * mp.sqrt(mp.pi / mp.ln(mpf(10))), ctx)
         if not abs(result.delta.value) < mpf(10) ** (-ctx.digits):
             raise ConvergenceError(
                 f"borwein agreement contract violated at {ctx.digits} digits"

@@ -176,6 +176,14 @@ def coeff_b(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
         return wrap(2 * mp.pi * k * prod / (lnm * math.factorial(2 * l - 1)), ctx)
 
 
+def _floor_bits(a: int, b: int, bits: int):
+    """(mantissa, exponent) of a/b >= 0, the mantissa floor(a/b 2^-exponent)
+    of about ``bits`` bits."""
+    shift = bits - a.bit_length() + b.bit_length()
+    man = (a << shift) // b if shift >= 0 else a // (b << -shift)
+    return man, -shift
+
+
 def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) -> SeriesValue:
     """Sum_k h(k beta) * sum_j F_j T_j(k) over the columns j = n, n-2, ... >= 1.
 
@@ -187,12 +195,27 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
     With w = (2 pi k / ln m)^2, T_j(k) is V_j k P_j(w) for even j and
     V_j P_j(w) for odd j, where V_j = 4 pi^2 / (ln(m) (j-1)!) (even) or
     2 pi / (j-1)! (odd), P_1 = P_2 = 1, P_3 = w and otherwise
-    P_j = P_{j-2} ((j-4)^2/4 + w).  The weights F_j V_j hold the factorials,
-    so the polynomial of degree n - 1 in k is summed by Horner's rule, one
-    column per step.  e^(-k beta) is carried by one multiplication per term.
-    The stopping rule and tail bound are those of r_correction with
-    D = n - 1; they hold for the whole chain because every coefficient of the
-    polynomial is >= 0.
+    P_j = P_{j-2} ((j-4)^2/4 + w).  The weights F_j/(j-1)! hold the
+    factorials, so the polynomial of degree n - 1 in k is summed by Horner's
+    rule, one column per step, and V_j's factor 4 pi^2 / ln m or 2 pi
+    multiplies the finished polynomial.  e^(-k beta) is carried by one
+    multiplication per term.  The stopping rule and tail bound are those of
+    r_correction with D = n - 1; they hold for the whole chain because every
+    coefficient of the polynomial is >= 0.
+
+    The Horner loop runs on Python integers, bits = working bits + 32.  Once
+    per call, each weight is floored from its exact fraction to a mantissa
+    of about bits bits times a power of two, and c2 = (2 pi / ln m)^2 to
+    floor(c2 2^bits); w = c2 k^2 and d_j = (j-4)^2/4 are then exact at scale
+    2^bits.  Each step multiplies the accumulator by d_j + w and shifts it
+    back to bits bits (one floor), then adds the next weight at the
+    accumulator's exponent, flooring the weight when it sits lower (at most
+    one more floor; none when it is 0).  A term of c = ceil(n/2) columns thus
+    takes c - 1 Horner steps and at most 2(c - 1) floors, each below
+    2^(1-bits) of the polynomial, as every operand is >= 0.  The polynomial
+    then becomes an mpf, rounded once, and is multiplied by
+    k q^k / (1 -+ q^(2k)) in mpf, as are the partial sum, the stop test, rho
+    and the tail.
     """
     even = n % 2 == 0
     with mp.workdps(ctx.working_digits):
@@ -200,18 +223,22 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
         lnm = mp.ln(mpf(base_m))
         beta = 2 * mp.pi**2 / lnm
         q = mp.exp(-beta)
-        c2 = (2 * mp.pi / lnm) ** 2
-        # 2 e^(-x) / (1 -+ e^(-2x)) is 1/sinh or 1/cosh; its 2 goes in the weights
+        bits = mp.prec + 32
+        c2 = int((2 * mp.pi / lnm) ** 2 * 2**bits)  # floor(c2 2^bits)
+        # 2 e^(-x) / (1 -+ e^(-2x)) is 1/sinh or 1/cosh; its 2 goes in scale
         scale = 8 * mp.pi**2 / lnm if even else 4 * mp.pi
         columns = range(n, 0, -2)
+        # the exact F_j / (j-1)!, each floored once to (mantissa, exponent)
+        frac = rational(1, math.factorial(n - 1))
         weights = []
-        f = rational(1)
         for j in columns:
-            weights.append(scale * to_mpf(f) / math.factorial(j - 1))
-            f = f * recurrence_factor(j) if chain and j > 2 else rational(0)
-        # Horner step from column j down to j - 2: s -> s * (d_j + w) + weight_{j-2}
-        steps = [(mpf((j - 4) ** 2) / 4 if j > 3 else mpf(0), v)
-                 for j, v in zip(columns, weights[1:])]
+            weights.append(_floor_bits(frac.numerator, frac.denominator, bits))
+            if j > 2:  # F_{j-2} / (j-3)! = F_j / (j-1)! * F_{j-2}/F_j * (j-1)(j-2)
+                frac *= recurrence_factor(j) * (j - 1) * (j - 2) if chain else 0
+        # Horner step from column j down to j - 2: s -> s * (d_j + w) + weight_{j-2},
+        # with d_j = (j-4)^2/4 at scale 2^bits
+        steps = [((j - 4) ** 2 << (bits - 2) if j > 3 else 0, *weight)
+                 for j, weight in zip(columns, weights[1:])]
 
         # e^(-k beta) < 10^(-working digits) needs k > working digits * ln 10 / beta
         # whatever the polynomial does, so a base that large is refused unsummed
@@ -232,10 +259,16 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
                 raise ConvergenceError(f"{name} stalled at {at}, over the cap {_MAX_TERMS}")
             qk *= q
             w = c2 * (k * k)
-            s = weights[0]
-            for d, v in steps:
-                s = s * (d + w) + v
+            s, e = weights[0]  # the polynomial is s 2^e
+            for d, vs, ve in steps:
+                s *= d + w
+                x = s.bit_length() - bits
+                s >>= x
+                e += x - bits
+                # add v 2^ve at exponent e, floored when ve is below it
+                s += vs << (ve - e) if ve >= e else vs >> (e - ve)
             q2k = qk * qk
+            s = scale * mpf((s, e))
             t = s * k * qk / (1 - q2k) if even else s * qk / (1 + q2k)
             partial += t
             if prev is not None and t < prev and t < tol * partial:
@@ -261,6 +294,8 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     at most rho = ((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)), which falls
     with k; summing goes on until rho < 1, and the tail is reported as the
     last term times rho/(1 - rho), a bound on the truncation for every base.
+    The polynomial runs on Python integers (see _correction_series): column
+    n alone, so its ceil(n/2) - 1 Horner steps floor once each per term.
     """
     _check_n(n)
     _check_base(base_m)
@@ -280,7 +315,10 @@ def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesVa
     is the quantity an identity report compares delta against.  All r_j of
     the chain run over the same k with the same 1/sinh or 1/cosh, so pred(n)
     is summed as one series over k, with r_correction's stopping rule and tail
-    bound; ``terms_used`` is the number of k summed.
+    bound; ``terms_used`` is the number of k summed.  Its polynomial runs on
+    Python integers (see _correction_series): ceil(n/2) - 1 Horner steps per
+    term, at most two floors each, one for the renormalising shift and one
+    for the weight added.
     """
     _check_n(n)
     _check_base(base_m)

@@ -2,10 +2,13 @@
 output contracts (JSON/CSV/text), exit statuses, option parsing, and
 determinism."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import time
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -319,6 +322,25 @@ class TestOutFile:
         assert result.exit_code == 0
         assert result.output == ""
         assert json.loads(out.read_text())["n"] == 4
+
+
+class TestInProcess:
+    def test_redirected_stdout_is_released(self):
+        # click caches the text stream it makes of each sys.stdout it meets,
+        # keyed weakly by that stdout; for a StringIO the stream is the
+        # StringIO itself, so a report echoed there without file= is kept
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            try:
+                main(["verify", "--n", "1", "--digits", "20"], standalone_mode=False)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 0
+        assert "pass=true" in buf.getvalue()
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
 
 
 class TestErrorRows:

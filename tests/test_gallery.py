@@ -111,6 +111,27 @@ class TestBorwein:
                 naive += 2 * mpf(10) ** (-e)
             assert abs(entry.value.value - naive) < mpf(10) ** (-40) * naive
 
+    @pytest.mark.parametrize("digits", [2000, 1920])
+    def test_integer_loop_against_mpf_loop(self, digits):
+        # The same recurrence in mpf at 20 extra digits, with the stop test
+        # on (k/100)^2.  At 1920 digits (k/100)^2 equals working_digits + 1
+        # at k = 4400, the one k where the stop test meets equality.
+        ctx = PrecisionContext(digits=digits)
+        entry = borwein_sum(ctx)
+        with mp.workdps(ctx.working_digits + 20):
+            q = mpf(10) ** (-mpf(1) / 10_000)
+            q2 = q * q
+            power, step, total = mpf(1), q, mpf(1)
+            k = 0
+            while True:
+                k += 1
+                power *= step
+                step *= q2
+                total += 2 * power
+                if (mpf(k) / 100) ** 2 > ctx.working_digits + 1:
+                    break
+            assert abs(entry.value.value - total) < mpf(10) ** (-digits) * total
+
     def test_digit_cap(self):
         with pytest.raises(DomainError):
             borwein_sum(PrecisionContext(digits=2001))

@@ -47,6 +47,15 @@ R_REFERENCE = {
     (10, 2): "0.7227399e-8",
 }
 
+# predicted_correction's terms_used at 30 digits: a rounding change inside
+# a term must not move where the series stops
+KERNEL_TERMS = {
+    **{(n, 2): k for n, k in ((1, 5), (2, 5), (7, 5), (16, 6), (30, 7))},
+    **{(n, 9): k for n, k in ((1, 13), (2, 13), (7, 15), (16, 17), (30, 20))},
+    **{(n, 10**40): k for n, k in ((1, 478), (2, 498), (7, 569), (16, 663), (30, 778))},
+    (200, 3): 20,
+}
+
 
 def _r_terms(n, m, ks, ctx):
     """Sum of the k-th terms of r_n(m) over ks, transcribed from the
@@ -62,6 +71,18 @@ def _r_terms(n, m, ks, ctx):
         else:
             total += coeff_b(n // 2, k, m, ctx).value * 2 * k * mp.pi / mp.cosh(k * beta)
     return total if n == 1 else total * 2 * mp.pi / (lnm * (n - 1))
+
+
+def _pred_terms(n, m, ks, ctx):
+    """Sum of the k-th terms of pred(n) over ks: sum_j F_j r_j, each r_j by
+    _r_terms, weighted by the chain factors F_j."""
+    total = mpf(0)
+    factor = Fraction(1)
+    for j in range(n, 0, -2):
+        total += to_mpf(factor) * _r_terms(j, m, ks, ctx)
+        if j > 2:
+            factor *= recurrence_factor(j)
+    return total
 
 
 class TestUDirect:
@@ -338,13 +359,23 @@ class TestPredictedCorrection:
         fine = PrecisionContext(digits=ctx30.digits + 40)
         ks = range(pred.terms_used + 1, predicted_correction(n, m, fine).terms_used + 1)
         with mp.workdps(fine.working_digits):
-            dropped = mpf(0)
-            factor = Fraction(1)
-            for j in range(n, 0, -2):
-                dropped += to_mpf(factor) * _r_terms(j, m, ks, fine)
-                if j > 2:
-                    factor *= recurrence_factor(j)
+            dropped = _pred_terms(n, m, ks, fine)
             assert 0 < dropped <= pred.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+
+    @pytest.mark.parametrize("n,m", sorted(KERNEL_TERMS))
+    def test_matches_column_by_column_transcription(self, n, m, ctx30):
+        # Sum_j F_j r_j, each r_j rebuilt k by k from coeff_c/coeff_b and
+        # mp.sinh/mp.cosh at 20 extra digits.  (200, 3) carries 100 columns
+        # whose weights span ~1000 binary orders, so the integer accumulator
+        # is renormalised at every step.
+        pred = predicted_correction(n, m, ctx30)
+        assert pred.terms_used == KERNEL_TERMS[(n, m)]
+        fine = PrecisionContext(digits=ctx30.digits + 20)
+        ks = range(1, predicted_correction(n, m, fine).terms_used + 1)
+        with mp.workdps(fine.working_digits):
+            ref = _pred_terms(n, m, ks, fine)
+            slack = pred.tail_bound.value + mpf(10) ** (-ctx30.digits) * ref
+            assert abs(pred.value.value - ref) <= slack
 
     def test_term_cap_refuses_huge_base_before_summing(self, ctx30):
         # beta = 2 pi^2 / ln(10^30000) asks for ~3.6e5 terms, over the cap;
