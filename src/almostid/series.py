@@ -5,10 +5,13 @@ The central objects: the base-m sum
     u_n(m) = ln(m) * sum_{k in Z} (m^{k/2} + m^{-k/2})^{-n},
 
 its exact limit t_n (pi, 1, and the rational chain t_n = (n-2)/(4(n-1)) * t_{n-2}),
-and the hyperbolic correction series r_n(m) whose chained accumulation equals
-u_n - t_n; that chain is summed as one series over k.  The truncated sums
-u_direct, r_correction and predicted_correction return a bound on their
-truncation tail.  The bound does not cover rounding error.
+and the hyperbolic correction series r_n(m) whose chained accumulation pred(n)
+equals u_n - t_n.  By Poisson summation u_n(m) is
+sum_{k in Z} |Gamma(n/2 + i omega_k)|^2 / Gamma(n), omega_k = 2 pi k / ln m:
+its k = 0 term is t_n = Gamma(n/2)^2 / Gamma(n), and the rest is pred(n), one
+Gamma product per k.  The truncated sums u_direct, r_correction and
+predicted_correction return a bound on their truncation tail.  The bound does
+not cover rounding error.
 """
 
 from __future__ import annotations
@@ -176,46 +179,32 @@ def coeff_b(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
         return wrap(2 * mp.pi * k * prod / (lnm * math.factorial(2 * l - 1)), ctx)
 
 
-def _floor_bits(a: int, b: int, bits: int):
-    """(mantissa, exponent) of a/b >= 0, the mantissa floor(a/b 2^-exponent)
-    of about ``bits`` bits."""
-    shift = bits - a.bit_length() + b.bit_length()
-    man = (a << shift) // b if shift >= 0 else a // (b << -shift)
-    return man, -shift
-
-
 def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) -> SeriesValue:
-    """Sum_k h(k beta) * sum_j F_j T_j(k) over the columns j = n, n-2, ... >= 1.
+    """Sum over k >= 1 of one integer product per term: pred(n) when chain
+    is true, r_n otherwise.
 
-    h is 1/sinh (n even) or 1/cosh (n odd), and h(k beta) T_j(k) is the k-th
-    term of r_j, prefactor included.  F_n = 1; below n, F_{j-2} =
-    F_j (j-2)/(4(j-1)) when chain is true, so the sum is pred(n), and F_j = 0
-    otherwise, so the sum is r_n.
+    With omega_k = 2 pi k / ln m, w = omega_k^2 and beta = 2 pi^2 / ln m,
+    |Gamma(z+1)|^2 = |z|^2 |Gamma(z)|^2 and DLMF 5.4.3-5.4.4 turn the k-th
+    terms 2 |Gamma(n/2 + i omega_k)|^2 / (n-1)! of pred(n) and
+    2 w |Gamma(n/2 - 1 + i omega_k)|^2 / (n-1)! of r_n (n >= 3) into
 
-    With w = (2 pi k / ln m)^2, T_j(k) is V_j k P_j(w) for even j and
-    V_j P_j(w) for odd j, where V_j = 4 pi^2 / (ln(m) (j-1)!) (even) or
-    2 pi / (j-1)! (odd), P_1 = P_2 = 1, P_3 = w and otherwise
-    P_j = P_{j-2} ((j-4)^2/4 + w).  The weights F_j/(j-1)! hold the
-    factorials, so the polynomial of degree n - 1 in k is summed by Horner's
-    rule, one column per step, and V_j's factor 4 pi^2 / ln m or 2 pi
-    multiplies the finished polynomial.  e^(-k beta) is carried by one
-    multiplication per term.  The stopping rule and tail bound are those of
-    r_correction with D = n - 1; they hold for the whole chain because every
-    coefficient of the polynomial is >= 0.
+        2 k beta / sinh(k beta) * prod_d (d + w) / (n-1)!    (n even)
+        2 pi / cosh(k beta) * prod_d (d + w) / (n-1)!        (n odd)
 
-    The Horner loop runs on Python integers, bits = working bits + 32.  Once
-    per call, each weight is floored from its exact fraction to a mantissa
-    of about bits bits times a power of two, and c2 = (2 pi / ln m)^2 to
-    floor(c2 2^bits); w = c2 k^2 and d_j = (j-4)^2/4 are then exact at scale
-    2^bits.  Each step multiplies the accumulator by d_j + w and shifts it
-    back to bits bits (one floor), then adds the next weight at the
-    accumulator's exponent, flooring the weight when it sits lower (at most
-    one more floor; none when it is 0).  A term of c = ceil(n/2) columns thus
-    takes c - 1 Horner steps and at most 2(c - 1) floors, each below
-    2^(1-bits) of the polynomial, as every operand is >= 0.  The polynomial
-    then becomes an mpf, rounded once, and is multiplied by
-    k q^k / (1 -+ q^(2k)) in mpf, as are the partial sum, the stop test, rho
-    and the tail.
+    over the offsets d = ((j-2)/2)^2, j = n, n-2, ... >= 3, for pred(n), and
+    over those of pred(n-2) and d = 0 for r_n: floor((n-1)/2) offsets either
+    way (r_1 = pred(1), r_2 = pred(2)).  The stopping rule and tail bound are
+    r_correction's; the product is a polynomial of degree n - 1 in k with
+    coefficients >= 0.
+
+    The product runs on Python integers at bits = working bits + 32.  Once
+    per call, c2 = floor((2 pi / ln m)^2 2^bits) and 1/(n-1)! are floored, the
+    latter to about bits bits; w = c2 k^2 and every d are then exact at scale
+    2^bits.  Each offset multiplies the product by d + w and shifts it back
+    to bits bits: one floor, below 2^(1-bits) relative as every factor is
+    >= 0.  The product then becomes an mpf, rounded once, and is multiplied
+    in mpf by 8 pi^2 / ln m or 4 pi and by k q^k / (1 - q^(2k)) or
+    q^k / (1 + q^(2k)), q = e^(-beta) carried by one multiplication per term.
     """
     even = n % 2 == 0
     with mp.workdps(ctx.working_digits):
@@ -227,18 +216,16 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
         c2 = int((2 * mp.pi / lnm) ** 2 * 2**bits)  # floor(c2 2^bits)
         # 2 e^(-x) / (1 -+ e^(-2x)) is 1/sinh or 1/cosh; its 2 goes in scale
         scale = 8 * mp.pi**2 / lnm if even else 4 * mp.pi
-        columns = range(n, 0, -2)
-        # the exact F_j / (j-1)!, each floored once to (mantissa, exponent)
-        frac = rational(1, math.factorial(n - 1))
-        weights = []
-        for j in columns:
-            weights.append(_floor_bits(frac.numerator, frac.denominator, bits))
-            if j > 2:  # F_{j-2} / (j-3)! = F_j / (j-1)! * F_{j-2}/F_j * (j-1)(j-2)
-                frac *= recurrence_factor(j) * (j - 1) * (j - 2) if chain else 0
-        # Horner step from column j down to j - 2: s -> s * (d_j + w) + weight_{j-2},
-        # with d_j = (j-4)^2/4 at scale 2^bits
-        steps = [((j - 4) ** 2 << (bits - 2) if j > 3 else 0, *weight)
-                 for j, weight in zip(columns, weights[1:])]
+        # every product starts from 1/(n-1)! = s0 2^-e0, floored once to ~bits bits
+        f = math.factorial(n - 1)
+        e0 = bits + f.bit_length()
+        s0 = (1 << e0) // f
+        # the offsets d = (h/2)^2 at scale 2^bits, h = j - 2 for j = n, n-2, ... >= 3;
+        # r_n takes those of pred(n-2) and h = 0
+        halves = list(range(n - 2 if chain else n - 4, 0, -2))
+        if not chain and n > 2:
+            halves.append(0)
+        offsets = [h * h << (bits - 2) for h in halves]
 
         # e^(-k beta) < 10^(-working digits) needs k > working digits * ln 10 / beta
         # whatever the polynomial does, so a base that large is refused unsummed
@@ -259,14 +246,12 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
                 raise ConvergenceError(f"{name} stalled at {at}, over the cap {_MAX_TERMS}")
             qk *= q
             w = c2 * (k * k)
-            s, e = weights[0]  # the polynomial is s 2^e
-            for d, vs, ve in steps:
+            s, e = s0, -e0  # the product is s 2^e
+            for d in offsets:
                 s *= d + w
                 x = s.bit_length() - bits
                 s >>= x
                 e += x - bits
-                # add v 2^ve at exponent e, floored when ve is below it
-                s += vs << (ve - e) if ve >= e else vs >> (e - ve)
             q2k = qk * qk
             s = scale * mpf((s, e))
             t = s * k * qk / (1 - q2k) if even else s * qk / (1 + q2k)
@@ -294,8 +279,11 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     at most rho = ((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)), which falls
     with k; summing goes on until rho < 1, and the tail is reported as the
     last term times rho/(1 - rho), a bound on the truncation for every base.
-    The polynomial runs on Python integers (see _correction_series): column
-    n alone, so its ceil(n/2) - 1 Horner steps floor once each per term.
+
+    The k-th term (n >= 3) is 2 w |Gamma(n/2 - 1 + i omega_k)|^2 / (n-1)!,
+    omega_k = 2 pi k / ln m, w = omega_k^2: one integer product of d + w over
+    d = 0 and ((j-2)/2)^2, j = n-2, n-4, ... >= 3 (see _correction_series),
+    with floor((n-1)/2) floors below 2^(1-bits) relative and one mpf rounding.
     """
     _check_n(n)
     _check_base(base_m)
@@ -315,10 +303,12 @@ def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesVa
     is the quantity an identity report compares delta against.  All r_j of
     the chain run over the same k with the same 1/sinh or 1/cosh, so pred(n)
     is summed as one series over k, with r_correction's stopping rule and tail
-    bound; ``terms_used`` is the number of k summed.  Its polynomial runs on
-    Python integers (see _correction_series): ceil(n/2) - 1 Horner steps per
-    term, at most two floors each, one for the renormalising shift and one
-    for the weight added.
+    bound; ``terms_used`` is the number of k summed.
+
+    By Poisson summation the k-th term is 2 |Gamma(n/2 + i omega_k)|^2 / (n-1)!,
+    omega_k = 2 pi k / ln m: one integer product of d + omega_k^2 over
+    d = ((j-2)/2)^2, j = n, n-2, ... >= 3 (see _correction_series), with
+    floor((n-1)/2) floors below 2^(1-bits) relative and one mpf rounding.
     """
     _check_n(n)
     _check_base(base_m)

@@ -55,6 +55,11 @@ KERNEL_TERMS = {
     **{(n, 10**40): k for n, k in ((1, 478), (2, 498), (7, 569), (16, 663), (30, 778))},
     (200, 3): 20,
 }
+# r_correction's terms_used at the same cells: r_n alone stops later than
+# the chain at base 10^40
+R_KERNEL_TERMS = {**KERNEL_TERMS, (7, 10**40): 578, (16, 10**40): 677, (30, 10**40): 797}
+KERNEL_CELLS = ([pytest.param(n, m, True, id=f"{n}-{m}") for n, m in sorted(KERNEL_TERMS)]
+                + [pytest.param(n, m, False, id=f"r-{n}-{m}") for n, m in sorted(R_KERNEL_TERMS)])
 
 
 def _r_terms(n, m, ks, ctx):
@@ -71,6 +76,21 @@ def _r_terms(n, m, ks, ctx):
         else:
             total += coeff_b(n // 2, k, m, ctx).value * 2 * k * mp.pi / mp.cosh(k * beta)
     return total if n == 1 else total * 2 * mp.pi / (lnm * (n - 1))
+
+
+def _gamma_terms(n, m, ks, chain):
+    """Sum over ks of the Poisson-summation terms, by mp.gamma at complex
+    arguments: 2 |Gamma(n/2 + i omega_k)|^2 / (n-1)! for pred(n), and
+    2 omega_k^2 |Gamma(n/2 - 1 + i omega_k)|^2 / (n-1)! for r_n, n >= 3,
+    with omega_k = 2 pi k / ln m."""
+    shift = 1 if not chain and n >= 3 else 0
+    lnm = mp.ln(m)
+    total = mpf(0)
+    for k in ks:
+        omega = 2 * mp.pi * k / lnm
+        g2 = abs(mp.gamma(mpf(n) / 2 - shift + 1j * omega)) ** 2
+        total += omega**2 * g2 if shift else g2
+    return 2 * total / mp.factorial(n - 1)
 
 
 def _pred_terms(n, m, ks, ctx):
@@ -160,6 +180,12 @@ class TestTarget:
             t = target(n)
             assert t.q == q
             assert t.has_pi is has_pi
+        # the k = 0 term of the Poisson sum: t_n = Gamma(n/2)^2 / Gamma(n) = B(n/2, n/2)
+        ctx = PrecisionContext(digits=45)
+        with mp.workdps(ctx.working_digits):
+            for n in range(1, 31):
+                ref = mp.beta(mpf(n) / 2, mpf(n) / 2)
+                assert abs(target(n).to_real(ctx).value - ref) <= mpf(10) ** (-55) * ref, n
 
     def test_recurrence_consistency_deep(self):
         for n in range(3, 40):
@@ -362,20 +388,24 @@ class TestPredictedCorrection:
             dropped = _pred_terms(n, m, ks, fine)
             assert 0 < dropped <= pred.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
 
-    @pytest.mark.parametrize("n,m", sorted(KERNEL_TERMS))
-    def test_matches_column_by_column_transcription(self, n, m, ctx30):
-        # Sum_j F_j r_j, each r_j rebuilt k by k from coeff_c/coeff_b and
-        # mp.sinh/mp.cosh at 20 extra digits.  (200, 3) carries 100 columns
-        # whose weights span ~1000 binary orders, so the integer accumulator
-        # is renormalised at every step.
-        pred = predicted_correction(n, m, ctx30)
-        assert pred.terms_used == KERNEL_TERMS[(n, m)]
+    @pytest.mark.parametrize("n,m,chain", KERNEL_CELLS)
+    def test_matches_column_by_column_transcription(self, n, m, chain, ctx30):
+        # pred(n) (or r_n) against two references at 20 extra digits: r_n, or
+        # sum_j F_j r_j, rebuilt k by k from coeff_c/coeff_b and
+        # mp.sinh/mp.cosh, and the Poisson sum of mp.gamma at complex
+        # arguments, which shares no formula with the integer product.
+        # (200, 3) takes 99 offsets per term, from 1/199! ~ 2^-1238 up, with
+        # the integer product renormalised at every offset.
+        series, terms = (predicted_correction, KERNEL_TERMS) if chain else (r_correction, R_KERNEL_TERMS)
+        got = series(n, m, ctx30)
+        assert got.terms_used == terms[(n, m)]
         fine = PrecisionContext(digits=ctx30.digits + 20)
-        ks = range(1, predicted_correction(n, m, fine).terms_used + 1)
+        ks = range(1, series(n, m, fine).terms_used + 1)
         with mp.workdps(fine.working_digits):
-            ref = _pred_terms(n, m, ks, fine)
-            slack = pred.tail_bound.value + mpf(10) ** (-ctx30.digits) * ref
-            assert abs(pred.value.value - ref) <= slack
+            transcribed = _pred_terms(n, m, ks, fine) if chain else _r_terms(n, m, ks, fine)
+            for ref in (transcribed, _gamma_terms(n, m, ks, chain)):
+                slack = got.tail_bound.value + mpf(10) ** (-ctx30.digits) * ref
+                assert abs(got.value.value - ref) <= slack
 
     def test_term_cap_refuses_huge_base_before_summing(self, ctx30):
         # beta = 2 pi^2 / ln(10^30000) asks for ~3.6e5 terms, over the cap;
