@@ -31,7 +31,7 @@ from . import mellin as mellin_mod
 from . import report as report_mod
 from . import series as series_mod
 from .errors import ConvergenceError, DomainError
-from .precision import PrecisionContext, wrap
+from .precision import PrecisionContext, to_mpf, wrap
 
 def parse_int_range(text: str):
     """'7' -> [7]; 'a..b' -> [a..b] inclusive (empty when b < a)."""
@@ -74,9 +74,9 @@ def _parse_s(text: str) -> Fraction:
 
 def _parse_decimal(text: str, what: str):
     try:
-        return mpf(text)
-    except ValueError:
-        raise DomainError(f"bad {what} {text!r}, expected a decimal")
+        return to_mpf(text)
+    except DomainError:
+        raise DomainError(f"bad {what} {text!r}, expected a finite decimal")
 
 
 def _identity_context(command: str, digits: int, residual_tol):
@@ -201,7 +201,7 @@ def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
 @click.option("--s", "s_text", default="1/8,1/4,3/8", show_default=True,
               help="Comma list of s values (fractions or decimals).")
 @click.option("--harmonic", is_flag=True, default=False,
-              help="Also check the dilate-sum transform against closed/(2^s-1) for g1, g2.")
+              help="Also check the dilate-sum transform against closed/(2^s-1).")
 @_common_options
 def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
     """Compare quadrature against closed forms for the transform family."""
@@ -213,8 +213,7 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
         threshold = mellin_mod.pass_threshold(ctx)
         cells = [("transform", fid, text) for fid in functions for text in s_texts]
         if harmonic:
-            cells += [("harmonic", fid, text) for fid in functions
-                      if fid in mellin_mod.HARMONIC_FUNCTIONS for text in s_texts]
+            cells += [("harmonic", fid, text) for fid in functions for text in s_texts]
 
         def row_of(cell):
             kind, fid, text = cell
@@ -223,7 +222,7 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
                 return report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))
             err = mellin_mod.harmonic_factor_check(fid, s, ctx)
             with mp.workdps(ctx.working_digits):
-                s_big = wrap(mpf(s.numerator) / s.denominator, ctx)
+                s_big = wrap(to_mpf(s), ctx)
                 passed = bool(err.value < threshold)
             return report_mod.harmonic_row(fid, s_big, err, passed)
 

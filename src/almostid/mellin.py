@@ -17,8 +17,8 @@ _refine_trapezoid, serves both quadratures: it picks each level's nodes,
 halves the ends, keeps the running sum, and halves the step until two levels,
 or their digit-doubling extrapolation, say the newest is within tolerance.
 Each quadrature only yields integrand values at the nodes asked for, in its
-own variable.  _kernel is the one table of each function's f, strip and
-decay rates.
+own variable.  _kernel is the one table of each function's f, closed
+transform, strip and decay rates.
 
 Grid abscissae are fixed multiples of one another, so most exponentials are
 carried instead of called: mellin_numeric carries e^u from node to node of a
@@ -40,8 +40,6 @@ from .errors import ConvergenceError, DomainError
 from .precision import BigReal, PrecisionContext, to_mpf, wrap
 
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
-# the functions whose dilate sum has a closed transform here
-HARMONIC_FUNCTIONS = ("g1", "g2")
 
 _FN_RE = re.compile(r"^fn(\d+)$")
 
@@ -101,27 +99,49 @@ def _fn(n, x):
     return (mp.sqrt(x) / (1 + x)) ** (n - 2) * ((1 - x) / (1 + x))
 
 
+def _off_pole(kind, trig, s):
+    """trig(pi s), refused as a pole of the closed form where it vanishes to
+    the active precision."""
+    value = trig(mp.pi * s)
+    if abs(value) < mpf(10) ** (-mp.dps):
+        raise DomainError(f"{kind} closed form at a pole: s = {mp.nstr(s, 12)}")
+    return value
+
+
+def _fn_closed(n, s):
+    """The closed transform of fn at real s (see mellin_closed)."""
+    prod = mpf(1)
+    for j in range((n - 2) // 2):
+        prod *= (j + mpf(n % 2) / 2) ** 2 - s**2
+    if n % 2 == 0:
+        return 2 * mp.pi * prod / (math.factorial(n - 2) * _off_pole("fn", mp.sin, s))
+    return 2 * (-mp.pi * s / _off_pole("fn", mp.cos, s)) * prod / math.factorial(n - 2)
+
+
 def _kernel(function_id):
-    """(f, hi, a, b) of a transform function: f itself, the top of its strip
-    (0, hi), and the offsets of the decay rates s + a and b - s of
-    f(e^t) e^{st} to the left and right of t = 0.
+    """(f, closed, hi, a, b) of a transform function: f itself, its closed
+    transform at real s, the top of its strip (0, hi), and the offsets of the
+    decay rates s + a and b - s of f(e^t) e^{st} to the left and right of
+    t = 0.  The one place a function id is read.
 
     Per-function strips: g2 extends to (0, 1), so s = 1/2 is interior there
     even though the family-wide common strip is (0, 1/2).
     """
     kind, n = parse_function_id(function_id)
     if kind == "g1":
-        return _g1, mpf(1) / 2, mpf(0), mpf(1) / 2
+        return (_g1, lambda s: mp.pi / (s * _off_pole(kind, mp.cos, s)),
+                mpf(1) / 2, mpf(0), mpf(1) / 2)
     if kind == "g2":
-        return _g2, mpf(1), mpf(0), mpf(1)
+        return _g2, lambda s: mp.pi / _off_pole(kind, mp.sin, s), mpf(1), mpf(0), mpf(1)
     half = mpf(n - 2) / 2
-    return (lambda x: _fn(n, x)), min(mpf(1) / 2, half), half, half
+    return ((lambda x: _fn(n, x)), (lambda s: _fn_closed(n, s)),
+            min(mpf(1) / 2, half), half, half)
 
 
 def _check_strip(function_id, s):
     """The _kernel of function_id, once s is inside its strip."""
     kernel = _kernel(function_id)
-    hi = kernel[1]
+    hi = kernel[2]
     if not 0 < s < hi:
         raise DomainError(
             f"s = {mp.nstr(s, 12)} outside the strip (0.0, {mp.nstr(hi, 6)}) of {function_id}"
@@ -170,11 +190,15 @@ def _refine_trapezoid(values, n, h, tol, max_levels=14):
     raise ConvergenceError("trapezoid refinement did not stabilize before the level cap")
 
 
-def _exp_axis(function_id, s, ctx, step):
+def _exp_axis(function_id, s, ctx, step, dilate=False):
     """f of function_id, the cutoffs t_left < t_right of f(e^t) e^{st}, and
     the agreement tolerance; a span t_right - t_left of more than _MAX_NODES
-    steps of ``step`` is a DomainError."""
-    f, hi, a, b = _check_strip(function_id, s)
+    steps of ``step`` is a DomainError.  With ``dilate`` the cutoffs are
+    those of F(e^t) e^{st} for the dilate sum F, which tends to a bounded
+    log-periodic function as x -> 0: its left decay rate is s, not s + a."""
+    f, _, hi, a, b = _check_strip(function_id, s)
+    if dilate:
+        a = 0
     # cutoffs sized so the dropped tails sit far below the agreement target;
     # the +25 absorbs constant and slowly-varying (logarithmic) prefactors
     target_exp = (ctx.digits + 10) * mp.ln(10)
@@ -224,45 +248,17 @@ def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
         return wrap(_refine_trapezoid(values, steps, span / steps, tol), ctx)
 
 
-def _off_pole(kind, trig, s, ctx):
-    """trig(pi s), refused as a pole of the closed form where it vanishes to
-    working precision."""
-    value = trig(mp.pi * s)
-    if abs(value) < mpf(10) ** (-ctx.working_digits):
-        raise DomainError(f"{kind} closed form at a pole: s = {mp.nstr(s, 12)}")
-    return value
-
-
 def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     """Real-axis closed forms:
 
     g1: pi/(s cos(pi s));  g2: pi/sin(pi s)
-    fn, n = 2l:   2/(2l-2)! * pi/sin(pi s)      * prod_{j=0}^{l-2} (j^2 - s^2)
-    fn, n = 2l+1: 2/(2l-1)! * (-pi s/cos(pi s)) * prod_{j=0}^{l-2} ((j+1/2)^2 - s^2)
-
-    The products are empty at their smallest l.
+    fn: -2 s Gamma(h + s) Gamma(h - s) / (n-2)!, h = (n-2)/2, that is
+        2/(n-2)! * prod_{j < floor(h)} ((j + h - floor(h))^2 - s^2) times
+        pi/sin(pi s) for even n or -pi s/cos(pi s) for odd n
     """
-    kind, n = parse_function_id(function_id)
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        _check_strip(function_id, sv)
-        if kind == "g1":
-            return wrap(mp.pi / (sv * _off_pole(kind, mp.cos, sv, ctx)), ctx)
-        if kind == "g2":
-            return wrap(mp.pi / _off_pole(kind, mp.sin, sv, ctx), ctx)
-        if n % 2 == 0:
-            l = n // 2
-            si = _off_pole(kind, mp.sin, sv, ctx)
-            prod = mpf(1)
-            for j in range(l - 1):
-                prod *= mpf(j) ** 2 - sv**2
-            return wrap(2 * mp.pi * prod / (math.factorial(2 * l - 2) * si), ctx)
-        l = (n - 1) // 2
-        c = _off_pole(kind, mp.cos, sv, ctx)
-        prod = mpf(1)
-        for j in range(l - 1):
-            prod *= (j + mpf(1) / 2) ** 2 - sv**2
-        return wrap(2 * (-mp.pi * sv / c) * prod / math.factorial(2 * l - 1), ctx)
+        return wrap(_check_strip(function_id, sv)[1](sv), ctx)
 
 
 def pass_threshold(ctx: PrecisionContext):
@@ -326,17 +322,14 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal
     too (see _dilate_nodes): past the first ln 2 of a level, a node costs
     only its g.  Taking F = 0 past t_right drops about F(e^{t_right}) at
     every node, which integrates to about the integrand at t_right over s:
-    the order of the interval truncation already accepted.
-
-    Only g1 and g2 have closed transforms available here; the fn family's
-    dilate-sum expansion coefficients are deliberately out of scope.
+    the order of the interval truncation already accepted.  The identity
+    holds for every function of the grid (Flajolet, Gourdon and Dumas, TCS
+    144, 1995); the left cutoff uses F's decay rate s (see _exp_axis).
     """
-    if function_id not in HARMONIC_FUNCTIONS:
-        raise DomainError("harmonic factor check supports g1 and g2 only")
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
         h0 = mp.ln(2) / 2
-        g, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, h0)
+        g, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, h0, dilate=True)
         lo = int(mp.floor(t_left / h0))
         hi = int(mp.ceil(t_right / h0))
 

@@ -62,16 +62,20 @@ def to_mpf(x) -> mpf:
 
     Accepts BigReal, ExactRational, int, str (decimal), float, and mpf.
     Decimal strings and rationals are rounded at the active working precision,
-    which keeps results deterministic for a fixed context.
+    which keeps results deterministic for a fixed context.  NaN and +-inf are
+    a DomainError: no operation here is defined there.
     """
     if isinstance(x, BigReal):
         return x.value
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     try:
-        return mpf(x)
+        v = mpf(x)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"cannot interpret {x!r} as a real number") from exc
+    if not mp.isfinite(v):
+        raise DomainError(f"{x!r} is not a finite real number")
+    return v
 
 
 def const_pi(ctx: PrecisionContext) -> BigReal:

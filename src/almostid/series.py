@@ -33,6 +33,10 @@ from .precision import (
 )
 
 _MAX_TERMS = 200_000
+# largest n verify_identity takes: the correction series costs ~n^2 per call,
+# and past n ~ 14 280 the denominator of t_n has more than 4300 digits,
+# which Python refuses to print
+_MAX_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ def target(n: int) -> ExactTarget:
     j = 1 if n % 2 else 2
     while j < n:
         j += 2
-        q *= rational(j - 2, 4 * (j - 1))
+        q *= recurrence_factor(j)
     return ExactTarget(q=q, has_pi=(n % 2 == 1))
 
 
@@ -231,7 +235,9 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
         # whatever the polynomial does, so a base that large is refused unsummed
         name = "predicted_correction" if chain else "r_correction"
         at = f"n={n} and a base of {_digit_count(base_m)} digits"
-        k_min = ctx.working_digits * mp.ln10 / beta
+        # and the stop rule's rho < 1 needs (n-1) ln(1 + 1/k) < beta, so
+        # k > (n-1)/beta - 1
+        k_min = max(ctx.working_digits * mp.ln10 / beta, (n - 1) / beta - 1)
         if k_min > _MAX_TERMS:
             raise ConvergenceError(
                 f"{name} needs over {int(k_min)} terms at {at}, over the cap {_MAX_TERMS}")
@@ -320,8 +326,12 @@ def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityRepor
 
     The row passes when |residual| is within the two reported tail bounds
     plus a slack of 10^(-digits).  The tail bounds count truncation only;
-    the slack absorbs rounding.
+    the slack absorbs rounding.  An n over _MAX_N is a DomainError, raised
+    before any sum.
     """
+    _check_n(n)
+    if n > _MAX_N:
+        raise DomainError(f"n = {n} is over the cap {_MAX_N} of verify_identity")
     u = u_direct(n, base_m, ctx)
     pred = predicted_correction(n, base_m, ctx)
     tgt = target(n)

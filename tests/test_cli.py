@@ -106,6 +106,14 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["digits"] == 25
 
+    def test_n_over_cap_refused_before_any_sum(self, runner):
+        # past n ~ 14 280 the target's denominator would not even print
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "--n", "15000", "--digits", "30"])
+        assert result.exit_code == 2
+        assert "over the cap 10000" in result.output
+        assert time.perf_counter() - start < 1
+
 
 class TestScanCommand:
     def test_csv_contract(self, runner):
@@ -227,6 +235,21 @@ class TestDualCommand:
         result = runner.invoke(
             main, ["dual", "--n", "1..1", "--x", "0.6", "--digits", "25"])
         assert result.exit_code == 2
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("args", [
+        ["dual", "--x", "nan"],
+        ["dual", "--x", "inf"],
+        ["lemma", "--u", "inf"],
+        ["lemma", "--u", "nan"],
+        ["lemma", "--h", "nan"],
+        ["verify", "--n", "4", "--residual-tol", "nan"],
+    ])
+    def test_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args + ["--digits", "25"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
 
 class TestLemmaCommand:
@@ -351,7 +374,7 @@ class TestErrorRows:
         (["mellin", "--functions", "g1,fn3", "--s", "1/4", "--harmonic"],
          [{"kind": kind, "function": fid, "s": "1/4", "numeric": "", "closed": "",
            "abs_err": "", "pass": False, "error": "no convergence"}
-          for kind, fid in [("transform", "g1"), ("transform", "fn3"), ("harmonic", "g1")]]),
+          for kind in ("transform", "harmonic") for fid in ("g1", "fn3")]),
         (["dual", "--n", "1..2", "--x", "0.3"],
          [{"n": n, "x": "0.3", "direct": "", "expansion": "", "abs_err": "",
            "pass": False, "error": "no convergence"} for n in (1, 2)]),

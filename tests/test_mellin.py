@@ -278,22 +278,30 @@ class TestCarriedExponentials:
 
 
 class TestHarmonicFactor:
+    # The fn cells need the dilate sum's own left decay rate s: with fn's
+    # s + (n-2)/2 the left cutoff drops a bounded log-periodic F.
     @pytest.mark.parametrize("fid, s, digits", [
         *[(fid, s, 30) for fid in ("g1", "g2") for s in ("1/8", "1/4", "3/8")],
         ("g1", "1/8", 60),
+        ("fn3", "1/8", 30), ("fn4", "1/4", 30), ("fn7", "3/8", 30),
     ])
     def test_matches_closed_form(self, fid, s, digits):
         err = harmonic_factor_check(fid, Fraction(s), PrecisionContext(digits=digits))
         with mp.workdps(2 * digits):
             assert err.value < mpf(10) ** (-(digits + 10))
 
-    def test_fn_rejected(self, ctx30):
-        with pytest.raises(DomainError):
-            harmonic_factor_check("fn3", Fraction(1, 4), ctx30)
-
     def test_strip_enforced(self, ctx30):
         with pytest.raises(DomainError):
             harmonic_factor_check("g1", Fraction(1, 2), ctx30)
+
+    def test_dilate_left_cutoff_is_fs_own(self, ctx30):
+        # fn7(e^t) e^{st} decays at rate s + 5/2 to the left, its dilate sum
+        # only at rate s, as g2's does: anything shorter drops part of F
+        with mp.workdps(ctx30.working_digits):
+            s = mpf(1) / 4
+            fn7 = mellin_mod._exp_axis("fn7", s, ctx30, mpf(1), dilate=True)[1]
+            assert fn7 == mellin_mod._exp_axis("g2", s, ctx30, mpf(1), dilate=True)[1]
+            assert fn7 < 2 * mellin_mod._exp_axis("fn7", s, ctx30, mpf(1))[1]
 
 
 class TestDualRoutes:

@@ -16,6 +16,7 @@ from almostid import (
     elem,
     rational,
 )
+from almostid.precision import to_mpf
 
 # 50-digit reference constants, checked against any standard table.
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -152,6 +153,12 @@ class TestBigReal:
     def test_unconvertible_operand_is_domain_error(self, ctx30):
         with pytest.raises(DomainError):
             elem("exp", object(), ctx30)
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf", float("nan"), float("inf"),
+                                   mp.mpf("-inf")])
+    def test_non_finite_operand_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="not a finite real number"):
+            to_mpf(x)
 
 
 class TestRationals:

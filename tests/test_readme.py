@@ -25,6 +25,16 @@ def _run(command):
     return result.output
 
 
+# every console line the README shows, without its trailing comment
+COMMANDS = [line.split("  #")[0].rstrip()
+            for line in re.findall(r"^\$ (almostid .*)$", README, re.M)]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_console_line_exits_zero(command):
+    _run(command)
+
+
 def test_python_block_runs():
     (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
     namespace = {}

@@ -415,6 +415,14 @@ class TestPredictedCorrection:
             predicted_correction(1, 10**30000, ctx30)
         assert time.perf_counter() - start < 1
 
+    def test_term_cap_refuses_large_n_on_huge_base_before_summing(self, ctx30):
+        # beta = 2 pi^2 / ln(10^1000): rho < 1 needs k > (n-1)/beta - 1, about
+        # 3.5e5 at n = 3000, where summing to the cap took over a minute
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"needs over 349833 terms at n=3000"):
+            predicted_correction(3000, 10**1000, ctx30)
+        assert time.perf_counter() - start < 1
+
 
 class TestRecurrence:
     def test_factor_values(self):
@@ -460,6 +468,16 @@ class TestVerifyIdentity:
         assert leading_digits(rep.delta.value, 2) == expected
         assert rep.passed is True
 
+    def test_n_over_cap_refused_before_any_sum(self, ctx30, monkeypatch):
+        import almostid.series as series_mod
+
+        def unreachable(*args):
+            raise AssertionError("summed past the cap")
+
+        monkeypatch.setattr(series_mod, "u_direct", unreachable)
+        with pytest.raises(DomainError, match="n = 10001 is over the cap 10000"):
+            verify_identity(10_001, 2, ctx30)
+
 
 class TestScan:
     def test_ordering_and_shape(self, ctx30):
@@ -501,6 +519,15 @@ class TestScan:
         for rep in rows:
             if isinstance(rep, IdentityReport):
                 assert rep == verify_identity(rep.n, rep.base_m, ctx30), (rep.n, rep.base_m)
+
+    def test_n_over_cap_becomes_error_row(self, ctx30, monkeypatch):
+        import almostid.series as series_mod
+
+        monkeypatch.setattr(series_mod, "_MAX_N", 3)
+        rows = scan([2, 3, 4], [2], ctx30)
+        assert [r.passed for r in rows[:2]] == [True, True]
+        assert rows[2] == ScanError(n=4, base_m=2,
+                                    message="n = 4 is over the cap 3 of verify_identity")
 
     def test_reports_equal_verify_identity(self, ctx30):
         rows = scan(range(1, 9), [2, 3, 10**6], ctx30)
