@@ -6,7 +6,9 @@ Routes verified against each other:
   * mellin_closed   - the trigonometric closed forms on the real axis
   * harmonic_factor_check - the transform of F(x) = sum_{k>=1} g(2^k x), built
     node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1)
-  * g_direct vs g_expansion - dilate sums against their residue expansions
+  * g_direct vs g_expansion - the dilate sums of g1 and g2, summed directly
+    and as the residue sum of closed(s) x^{-s}/(2^s - 1), with the closed
+    transform of _kernel read at complex s
   * lemma_check     - the antiderivative identity via finite differences
 
 All integrands become analytic and exponentially decaying in both directions
@@ -33,11 +35,13 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
 from .precision import BigReal, PrecisionContext, to_mpf, wrap
+from .series import recurrence_factor
 
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
 
@@ -347,36 +351,46 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal
         return wrap(abs(quad - closed), ctx)
 
 
+# g1 and g2 beyond their _kernel, as (C, lam, a): g_n(y) <= C y^{-b}, and
+# g_n(x) = g_n(0) + sum_{j>=0} a(j) x^{lam + j} near 0
+_DILATE = {
+    1: (2, Fraction(1, 2), lambda j: mpf(-2 * (-1) ** j) / (2 * j + 1)),
+    2: (1, Fraction(1), lambda j: (-1) ** (j + 1)),
+}
+
+
+def _dilate_kernel(route, n, x):
+    """x as mpf, then g, closed and b of g_n's _kernel, then C, lam and a of
+    _DILATE, once n is the int 1 or 2 and x > 0."""
+    if not isinstance(n, int) or isinstance(n, bool) or n not in _DILATE:
+        raise DomainError(f"{route} supports n = 1 or 2, got {n!r}")
+    xv = to_mpf(x)
+    if xv <= 0:
+        raise DomainError(f"{route} requires x > 0, got {mp.nstr(xv, 12)}")
+    g, closed, _, _, b = _kernel(f"g{n}")
+    return (xv, g, closed, b, *_DILATE[n])
+
+
 def g_direct(n: int, x, ctx: PrecisionContext) -> BigReal:
-    """Direct dilate sum, n = 1 or 2; terms fall off like (2^k x)^{-1/2} or ^{-1}.
+    """Direct dilate sum F(x) = sum_{k>=1} g_n(2^k x), n = 1 or 2.
 
-    The sum stops at the first k whose tail bound is below 10^(-working
-    digits).  That k is found before summing, from a closed-form estimate
-    moved to the first k that passes, so a k over the cap of 10^5 is refused
-    up front and the bound is evaluated at a few k instead of at every term.
+    g_n(y) <= C y^{-b}, with b the right decay offset of g_n's _kernel
+    (2 y^{-1/2} for g1, y^{-1} for g2), so the tail after k terms is at most
+    C (2^{k+1} x)^{-b}/(1 - 2^{-b}).  The sum stops at the first k whose tail
+    bound is below 10^(-working digits).  That k is found before summing,
+    from a closed-form estimate moved to the first k that passes, so a k over
+    the cap of 10^5 is refused up front and the bound is evaluated at a few k
+    instead of at every term.
     """
-    if n not in (1, 2):
-        raise DomainError(f"g_direct supports n = 1 or 2, got {n!r}")
     with mp.workdps(ctx.working_digits):
-        xv = to_mpf(x)
-        if xv <= 0:
-            raise DomainError(f"g_direct requires x > 0, got {mp.nstr(xv, 12)}")
+        xv, g, _, b, big_c, _, _ = _dilate_kernel("g_direct", n, x)
         tol = mpf(10) ** (-ctx.working_digits)
-        # remaining tail after k terms: sum_{j>k} 2 (2^j x)^{-1/2}  or  (2^j x)^{-1}
-        if n == 1:
-            g, geometric = _g1, 1 - 1 / mp.sqrt(mpf(2))
+        geometric = 1 - mpf(2) ** (-b)
 
-            def tail(k):
-                return 2 / mp.sqrt(mp.ldexp(xv, k + 1)) / geometric
+        def tail(k):
+            return big_c * mp.ldexp(xv, k + 1) ** (-b) / geometric
 
-            est = 2 * mp.log(2 / (geometric * tol), 2) - mp.log(xv, 2) - 1
-        else:
-            g = _g2
-
-            def tail(k):
-                return 1 / mp.ldexp(xv, k)
-
-            est = -mp.log(xv * tol, 2)
+        est = mp.log(big_c / (geometric * tol), 2) / b - mp.log(xv, 2) - 1
         cap = 100_000
         k = max(1, int(mp.ceil(est)))
         if k <= cap:
@@ -395,83 +409,60 @@ def g_direct(n: int, x, ctx: PrecisionContext) -> BigReal:
 
 
 def g_expansion(n: int, x, ctx: PrecisionContext) -> BigReal:
-    """Residue expansion of the dilate sum: log terms + power series + oscillation.
+    """Residue expansion of the dilate sum F(x) = sum_{k>=1} g_n(2^k x).
 
-    n=1: -pi/2 - pi log2(x) + sqrt(x) S1(x) - sum_k sin(2 k pi log2 x)/(k cosh(2 k pi^2/ln 2))
-         with S1 coefficients (-2)^{k+2}/((1+2k)(2^{k+1} - sqrt(2)))
-    n=2: -1/2 - log2(x) - sum_k (-2)^k x^k/(2^k - 1)
-         - (2 pi/ln 2) sum_k sin(2 k pi log2 x)/sinh(2 k pi^2/ln 2)
+    F has the transform M(s)/(2^s - 1), with M the closed transform of g_n
+    in its _kernel, so F(x) is the sum of the residues of
+    M(s) x^{-s}/(2^s - 1) left of the strip (Flajolet, Gourdon and Dumas,
+    TCS 144, 1995).  Three kinds of pole:
 
-    Restricted to 0 < x < 1/2.  In both power series the ratio of consecutive
-    terms tends to -x and stays below x in magnitude at every k, so the
-    remainder after a term t is at most |t| x/(1 - x).
+      * s = -lam for each term a x^lam, lam > 0, of g_n's expansion at 0,
+        where M has residue a: a x^lam/(2^{-lam} - 1);
+      * the double pole at s = 0, from the constant a0 = g_n(0):
+        a0 (-1/2 - log2 x), as M(s) - a0/s tends to 0 at s = 0 for g1
+        and g2;
+      * s = +-i w_k, w_k = 2 pi k/ln 2: (2/ln 2) Re[M(i w_k) x^{-i w_k}],
+        with M at complex s.
+
+    Restricted to 0 < x < 1/2.  The ratio of consecutive power terms stays
+    below x in magnitude, so the remainder after a term t is at most
+    |t| x/(1 - x).  |M(i w_{k+1})/M(i w_k)| <= r = 2 e^{-beta}, with
+    beta = 2 pi^2/ln 2, so the oscillating remainder after a term t is at
+    most |t| r/(1 - r).  Carried from term to term: x^lam, 2^{-lam} and
+    x^{-i w_k} = (x^{-i w_1})^k.
     """
-    if n not in (1, 2):
-        raise DomainError(f"g_expansion supports n = 1 or 2, got {n!r}")
     with mp.workdps(ctx.working_digits):
-        xv = to_mpf(x)
-        if xv <= 0:
-            raise DomainError(f"g_expansion requires x > 0, got {mp.nstr(xv, 12)}")
+        xv, g, closed, _, _, lam, coef = _dilate_kernel("g_expansion", n, x)
         if xv >= mpf(1) / 2:
             raise DomainError(
                 f"g_expansion restricted to x < 1/2 (geometric tail bound), got {mp.nstr(xv, 12)}"
             )
         tol = mpf(10) ** (-ctx.working_digits)
         ln2 = mp.ln(mpf(2))
-        log2x = mp.ln(xv) / ln2
-        beta = 2 * mp.pi**2 / ln2
-
-        if n == 1:
-            rt2 = mp.sqrt(mpf(2))
-            series = mpf(0)
-            k = 0
-            num = mpf(4)  # (-2)^{k+2}
-            pw = mpf(1)  # x^k
-            two = mpf(2)  # 2^{k+1}
-            while True:
-                t = num / ((1 + 2 * k) * (two - rt2)) * pw
-                series += t
-                # ratio of consecutive terms is below x; geometric remainder
-                if abs(t) * xv / (1 - xv) < tol:
-                    break
-                k += 1
-                num *= -2
-                pw *= xv
-                two *= 2
-            value = -mp.pi / 2 - mp.pi * log2x + mp.sqrt(xv) * series
-            k = 0
-            while True:
-                k += 1
-                damp = mp.cosh(k * beta)
-                value -= mp.sin(2 * k * mp.pi * log2x) / (k * damp)
-                if 2 / ((k + 1) * mp.cosh((k + 1) * beta)) < tol:
-                    break
-            return wrap(value, ctx)
-
-        series = mpf(0)
-        k = 0
-        num = mpf(1)  # (-2)^k
-        pw = mpf(1)  # x^k
-        two = mpf(1)  # 2^k
+        value = g(mpf(0)) * (-mpf(1) / 2 - mp.ln(xv) / ln2)
+        lam = to_mpf(lam)
+        power, half = xv**lam, mpf(2) ** (-lam)
+        j = 0
         while True:
-            k += 1
-            num *= -2
-            pw *= xv
-            two *= 2
-            t = num * pw / (two - 1)
-            series += t
+            t = coef(j) * power / (half - 1)
+            value += t
             if abs(t) * xv / (1 - xv) < tol:
                 break
-        value = -mpf(1) / 2 - log2x - series
-        osc = mpf(0)
-        k = 0
+            j += 1
+            power *= xv
+            half /= 2
+        w = 2 * mp.pi / ln2
+        r = 2 * mp.exp(-mp.pi * w)  # beta = pi w_1
+        turn = mp.expj(-w * mp.ln(xv))  # x^{-i w_1}
+        phase, osc, k = turn, mpf(0), 1
         while True:
-            k += 1
-            osc += mp.sin(2 * k * mp.pi * log2x) / mp.sinh(k * beta)
-            if 3 / mp.sinh((k + 1) * beta) < tol:
+            t = 2 * closed(mp.mpc(0, k * w)) * phase / ln2
+            osc += t.real
+            if abs(t) * r / (1 - r) < tol:
                 break
-        value -= (2 * mp.pi / ln2) * osc
-        return wrap(value, ctx)
+            k += 1
+            phase *= turn
+        return wrap(value + osc, ctx)
 
 
 def dual_check(n: int, x, ctx: PrecisionContext) -> DualCheck:
@@ -498,11 +489,11 @@ def lemma_step(ctx: PrecisionContext):
 def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
     """Residual of the antiderivative identity behind the recurrence.
 
-    With phi_n(u) = (2^{-(k-u)/2} + 2^{(k-u)/2})^{-n} and
-    R(u) = (1/(2 ln2 (n-1))) (2^{(k-u)/2}/(1+2^{k-u}))^{n-2} (1-2^{k-u})/(1+2^{k-u}),
-    returns |phi_n(u) - (n-2)/(4(n-1)) phi_{n-2}(u) - dR/du| with dR/du a
-    central difference of step h (default lemma_step(ctx)); the exact identity
-    makes the residual pure finite-difference error, O(h^2).
+    With x = 2^{k-u} and p = sqrt(x)/(1+x), phi_j(u) = p^j and
+    R(u) = _fn(n, x)/(2 ln2 (n-1)) = p^{n-2} (1-x)/(1+x)/(2 ln2 (n-1));
+    returns |phi_n(u) - (n-2)/(4(n-1)) phi_{n-2}(u) - dR/du| with
+    dR/du a central difference of step h (default lemma_step(ctx)); the exact
+    identity makes the residual pure finite-difference error, O(h^2).
 
     ``h`` is overridable so the h^2 scaling itself can be observed.
     """
@@ -515,21 +506,13 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
         hv = lemma_step(ctx) if h is None else to_mpf(h)
         if hv <= 0:
             raise DomainError("finite-difference step must be positive")
-        ln2 = mp.ln(mpf(2))
-
-        def phi(order, uu):
-            d = mpf(k) - uu
-            return (mpf(2) ** (-d / 2) + mpf(2) ** (d / 2)) ** (-order)
+        scale = 2 * mp.ln(mpf(2)) * (n - 1)
 
         def big_r(uu):
-            d = mpf(k) - uu
-            p = mpf(2) ** d
-            return (
-                (mpf(2) ** (d / 2) / (1 + p)) ** (n - 2)
-                * ((1 - p) / (1 + p))
-                / (2 * ln2 * (n - 1))
-            )
+            return _fn(n, mpf(2) ** (k - uu)) / scale
 
         drdu = (big_r(uv + hv) - big_r(uv - hv)) / (2 * hv)
-        a = mpf(n - 2) / (4 * (n - 1))
-        return wrap(abs(phi(n, uv) - a * phi(n - 2, uv) - drdu), ctx)
+        x = mpf(2) ** (k - uv)
+        p = mp.sqrt(x) / (1 + x)
+        a = to_mpf(recurrence_factor(n))
+        return wrap(abs(p**n - a * p ** (n - 2) - drdu), ctx)

@@ -310,12 +310,15 @@ class TestDualRoutes:
         v = g_direct(2, 10**6, ctx30)
         assert 0 < v.value < mpf(2) / 10**6
 
-    @pytest.mark.parametrize("n,x", [(1, "0.45"), (2, "0.3")])
-    def test_dual_spot_cells(self, n, x, ctx30):
-        check = dual_check(n, x, ctx30)
+    @pytest.mark.parametrize("n,x,digits", [(1, "0.45", 30), (2, "0.3", 30), (1, "1e-30", 30),
+                                            (2, "0.4999", 30), (1, "0.45", 200), (2, "0.1", 200)],
+                             ids=["1-0.45", "2-0.3", "1-1e-30", "2-0.4999", "1-0.45-200", "2-0.1-200"])
+    def test_dual_spot_cells(self, n, x, digits):
+        check = dual_check(n, x, PrecisionContext(digits=digits))
         assert check.passed
-        with mp.workdps(60):
-            assert check.abs_err.value < mpf(10) ** (-25)
+        with mp.workdps(2 * digits):
+            bound = mpf(10) ** (-(digits + 10)) * max(1, abs(check.direct.value))
+            assert check.abs_err.value < bound
 
     @pytest.mark.parametrize("n,x,digits", [(1, "0.1", 200), (1, "1e-30", 30), (1, "1e8", 30),
                                             (2, "0.45", 200), (2, "1e-30", 30), (2, "1e50", 30)])
@@ -341,9 +344,11 @@ class TestDualRoutes:
             g_direct(2, mpf(10) ** -40000, ctx30)
         assert time.perf_counter() - start < 1
 
-    def test_direct_stable_across_precision(self):
-        lo = g_direct(1, 1, PrecisionContext(digits=25))
-        hi = g_direct(1, 1, PrecisionContext(digits=40))
+    @pytest.mark.parametrize("route,x", [(g_direct, 1), (g_expansion, "0.3")],
+                             ids=["g_direct", "g_expansion"])
+    def test_direct_stable_across_precision(self, route, x):
+        lo = route(1, x, PrecisionContext(digits=25))
+        hi = route(1, x, PrecisionContext(digits=40))
         with mp.workdps(70):
             assert abs(lo.value - hi.value) < mpf(10) ** (-25) * abs(hi.value)
 
@@ -356,12 +361,20 @@ class TestDualRoutes:
             g_expansion(1, 0, ctx30)
         with pytest.raises(DomainError):
             g_expansion(3, "0.1", ctx30)
+        for n in (True, 1.0, 2.0):
+            with pytest.raises(DomainError):
+                g_expansion(n, "0.3", ctx30)
 
     def test_direct_domain(self, ctx30):
         with pytest.raises(DomainError):
             g_direct(3, "0.1", ctx30)
         with pytest.raises(DomainError):
             g_direct(1, -2, ctx30)
+        for n in (True, 1.0, 2.0):
+            with pytest.raises(DomainError):
+                g_direct(n, "0.3", ctx30)
+        with pytest.raises(DomainError):
+            dual_check(True, "0.3", ctx30)
 
 
 class TestKernelSymmetry:
