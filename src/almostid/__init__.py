@@ -20,10 +20,13 @@ from .gallery import (
 from .mellin import (
     DualCheck,
     FUNCTION_GRID,
+    LemmaCheck,
     MellinCheck,
+    antiderivative_check,
     dual_check,
     g_direct,
     g_expansion,
+    harmonic_check,
     harmonic_factor_check,
     lemma_check,
     mellin_check,
@@ -40,6 +43,7 @@ from .precision import (
     const_pi,
     elem,
     rational,
+    within,
     wrap,
 )
 from .series import (
@@ -70,10 +74,12 @@ __all__ = [
     "FUNCTION_GRID",
     "GalleryEntry",
     "IdentityReport",
+    "LemmaCheck",
     "MellinCheck",
     "PrecisionContext",
     "ScanError",
     "SeriesValue",
+    "antiderivative_check",
     "borwein_sum",
     "check_recurrence",
     "coeff_b",
@@ -83,6 +89,7 @@ __all__ = [
     "elem",
     "g_direct",
     "g_expansion",
+    "harmonic_check",
     "harmonic_factor_check",
     "hickerson",
     "lemma_check",
@@ -102,5 +109,6 @@ __all__ = [
     "target",
     "u_direct",
     "verify_identity",
+    "within",
     "wrap",
 ]

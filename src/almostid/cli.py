@@ -31,7 +31,7 @@ from . import mellin as mellin_mod
 from . import report as report_mod
 from . import series as series_mod
 from .errors import ConvergenceError, DomainError
-from .precision import PrecisionContext, to_mpf, wrap
+from .precision import PrecisionContext, to_mpf
 
 def parse_int_range(text: str):
     """'7' -> [7]; 'a..b' -> [a..b] inclusive (empty when b < a)."""
@@ -102,7 +102,7 @@ def _rows(columns, keys, cells, row_of):
         try:
             rows.append(row_of(cell))
         except ConvergenceError as exc:
-            rows.append(report_mod.error_row(columns, **dict(zip(keys, cell)), error=str(exc)))
+            rows.append(report_mod.format_row(columns, False, str(exc), **dict(zip(keys, cell))))
     return rows
 
 
@@ -210,24 +210,13 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
         s_texts = parse_str_list(s_text)
         ctx = PrecisionContext(digits=digits)
         s_of = {text: _parse_s(text) for text in s_texts}
-        threshold = mellin_mod.pass_threshold(ctx)
+        check = {"transform": mellin_mod.mellin_check, "harmonic": mellin_mod.harmonic_check}
         cells = [("transform", fid, text) for fid in functions for text in s_texts]
         if harmonic:
             cells += [("harmonic", fid, text) for fid in functions for text in s_texts]
-
-        def row_of(cell):
-            kind, fid, text = cell
-            s = s_of[text]
-            if kind == "transform":
-                return report_mod.mellin_row(mellin_mod.mellin_check(fid, s, ctx))
-            err = mellin_mod.harmonic_factor_check(fid, s, ctx)
-            with mp.workdps(ctx.working_digits):
-                s_big = wrap(to_mpf(s), ctx)
-                passed = bool(err.value < threshold)
-            return report_mod.harmonic_row(fid, s_big, err, passed)
-
         columns = report_mod.MELLIN_COLUMNS
-        rows = _rows(columns, ("kind", "function", "s"), cells, row_of)
+        rows = _rows(columns, ("kind", "function", "s"), cells, lambda cell: report_mod.mellin_row(
+            check[cell[0]](cell[1], s_of[cell[2]], ctx)))
         _emit(columns, rows, fmt, out_path)
 
 
@@ -261,18 +250,10 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
                  for u in parse_str_list(u_text)]
         ctx = PrecisionContext(digits=digits)
         with mp.workdps(ctx.working_digits):
-            h_value = (mellin_mod.lemma_step(ctx) if h_text is None
-                       else _parse_decimal(h_text, "step h"))
-            bound = wrap(10 * h_value**2, ctx)
-            h_big = wrap(h_value, ctx)
-
-        def row_of(cell):
-            residual = mellin_mod.lemma_check(*cell, ctx, h=h_big)
-            passed = bool(residual.value < bound.value)
-            return report_mod.lemma_row(*cell, h_big, residual, bound, passed)
-
+            h = None if h_text is None else _parse_decimal(h_text, "step h")
         columns = report_mod.LEMMA_COLUMNS
-        rows = _rows(columns, ("n", "k", "u"), cells, row_of)
+        rows = _rows(columns, ("n", "k", "u"), cells, lambda cell: report_mod.lemma_row(
+            mellin_mod.antiderivative_check(*cell, ctx, h=h)))
         _emit(columns, rows, fmt, out_path)
 
 

@@ -13,7 +13,7 @@ from typing import Union
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
-from .precision import BigReal, PrecisionContext, wrap
+from .precision import BigReal, PrecisionContext, within, wrap
 
 _RAMANUJAN_D = (37, 58, 163)
 _BORWEIN_DIGIT_CAP = 2000
@@ -26,12 +26,17 @@ HICKERSON = tuple(f"hickerson{n}" for n in range(1, _HICKERSON_MAX + 1))
 
 @dataclass(frozen=True)
 class GalleryEntry:
+    """delta = value - reference, ``passed`` = within(delta, bound): bound is
+    10^(-digits) for borwein, 1/2 for hickerson, +inf where none is claimed yet."""
+
     id: str
     description: str
     value: BigReal
     reference: Union[BigReal, int]
     delta: BigReal
     digits: int
+    bound: BigReal
+    passed: bool
 
 
 def entry(item: str, ctx: PrecisionContext) -> GalleryEntry:
@@ -47,17 +52,15 @@ def entry(item: str, ctx: PrecisionContext) -> GalleryEntry:
     return misc_constant(item, ctx)
 
 
-def _entry(id, description, value, reference, ctx) -> GalleryEntry:
+def _entry(id, description, value, reference, ctx, bound=mp.inf) -> GalleryEntry:
     """value against reference, an exact int or an mpf, with delta =
-    value - reference; called under ctx's working precision."""
-    return GalleryEntry(
-        id=id,
-        description=description,
-        value=wrap(value, ctx),
-        reference=reference if isinstance(reference, int) else wrap(reference, ctx),
-        delta=wrap(value - reference, ctx),
-        digits=ctx.digits,
-    )
+    value - reference held to bound; called under ctx's working precision."""
+    delta = wrap(value - reference, ctx)
+    bound = wrap(bound, ctx)
+    if not isinstance(reference, int):
+        reference = wrap(reference, ctx)
+    return GalleryEntry(id, description, wrap(value, ctx), reference, delta, ctx.digits, bound,
+                        within(delta, bound))
 
 
 def ramanujan_constant(d: int, ctx: PrecisionContext) -> GalleryEntry:
@@ -114,7 +117,8 @@ def borwein_sum(ctx: PrecisionContext) -> GalleryEntry:
     floors of q^{2k-1} reach every later power: the sum 1 + 2 sum q^{k^2} is
     off by less than (K(K+1) + 2KS) 2^-bits, S = sum_{i>=0} (2i+1) q^{i^2}
     < 10^4/ln 10 + 2, which at 2000 digits (K = 4490) is below 2^(26-bits).
-    The sum becomes an mpf once, at the end.
+    The sum becomes an mpf once, at the end.  The entry's bound is
+    10^(-digits), and a delta past it raises ConvergenceError.
     """
     if ctx.digits > _BORWEIN_DIGIT_CAP:
         raise DomainError(
@@ -139,8 +143,8 @@ def borwein_sum(ctx: PrecisionContext) -> GalleryEntry:
                 break
         result = _entry("borwein", "sum of 10^(-(k/100)^2) vs 100 sqrt(pi/ln 10)",
                         mpf(((1 << bits) + 2 * total, -bits)),
-                        100 * mp.sqrt(mp.pi / mp.ln(mpf(10))), ctx)
-        if not abs(result.delta.value) < mpf(10) ** (-ctx.digits):
+                        100 * mp.sqrt(mp.pi / mp.ln(mpf(10))), ctx, mpf(10) ** (-ctx.digits))
+        if not result.passed:
             raise ConvergenceError(
                 f"borwein agreement contract violated at {ctx.digits} digits"
             )
@@ -167,17 +171,18 @@ def hickerson(n: int, ctx: PrecisionContext) -> GalleryEntry:
     The quotient is the dominant term of the exact pole expansion of a(n), so
     it hugs the integer, but the neglected conjugate-pole pair grows to
     magnitude ~0.54 at n = 17, where round(value) lands one BELOW a(17).
-    The advertised range 1..17 is kept as the accepted input domain; the
-    documented round(value) = a(n) postcondition genuinely fails at n = 17,
-    and this function raises ConvergenceError there rather than pretend.
+    The advertised range 1..17 is kept as the accepted input domain.  The
+    entry's bound is 1/2, so that passing means round(value) = a(n); that
+    postcondition genuinely fails at n = 17, and this function raises
+    ConvergenceError there rather than pretend.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _HICKERSON_MAX:
         raise DomainError(f"hickerson supports 1 <= n <= {_HICKERSON_MAX}, got {n!r}")
     with mp.workdps(ctx.working_digits):
         value = mpf(math.factorial(n)) / (2 * mp.ln(mpf(2)) ** (n + 1))
         result = _entry(f"hickerson{n}", f"{n}!/(2 ln(2)^{n + 1}) vs ordered Bell a({n})",
-                        value, ordered_bell(n), ctx)
-        if int(mp.nint(value)) != result.reference:
+                        value, ordered_bell(n), ctx, mpf(1) / 2)
+        if not result.passed:
             raise ConvergenceError(
                 f"rounding identity fails at n={n}: value - a(n) = "
                 f"{mp.nstr(result.delta.value, 10)}, "

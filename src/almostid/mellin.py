@@ -40,7 +40,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
-from .precision import BigReal, PrecisionContext, to_mpf, wrap
+from .precision import BigReal, PrecisionContext, to_mpf, within, wrap
 from .series import recurrence_factor
 
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
@@ -57,21 +57,44 @@ _DOUBLING_SAFETY = 10**3
 
 @dataclass(frozen=True)
 class MellinCheck:
+    """A "transform" (mellin_check) or "harmonic" (harmonic_check) check of
+    function_id at s, ``passed`` = within(abs_err, bound); harmonic has no
+    numeric or closed value."""
+
+    kind: str
     function_id: str
     s: BigReal
-    numeric: BigReal
-    closed: BigReal
+    numeric: BigReal | None
+    closed: BigReal | None
     abs_err: BigReal
+    bound: BigReal
     passed: bool
 
 
 @dataclass(frozen=True)
 class DualCheck:
+    """g_direct against g_expansion at (n, x), ``passed`` = within(abs_err, bound)."""
+
     n: int
     x: BigReal
     direct: BigReal
     expansion: BigReal
     abs_err: BigReal
+    bound: BigReal
+    passed: bool
+
+
+@dataclass(frozen=True)
+class LemmaCheck:
+    """lemma_check at (n, k, u) with step h, ``passed`` = within(residual,
+    bound), bound = 10 h^2; u is kept as given, as a report shows it."""
+
+    n: int
+    k: int
+    u: object
+    h: BigReal
+    residual: BigReal
+    bound: BigReal
     passed: bool
 
 
@@ -270,19 +293,22 @@ def pass_threshold(ctx: PrecisionContext):
         return mpf(10) ** (-(ctx.digits - 5))
 
 
+def _mellin_record(kind, function_id, s, numeric, closed, abs_err, ctx) -> MellinCheck:
+    """The MellinCheck of one cell, abs_err held to pass_threshold(ctx)."""
+    bound = wrap(pass_threshold(ctx), ctx)
+    with mp.workdps(ctx.working_digits):
+        s_big = wrap(to_mpf(s), ctx)
+    return MellinCheck(kind, function_id, s_big, numeric, closed, abs_err, bound,
+                       within(abs_err, bound))
+
+
 def mellin_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
+    """|mellin_numeric - mellin_closed| held to pass_threshold(ctx)."""
     numeric = mellin_numeric(function_id, s, ctx)
     closed = mellin_closed(function_id, s, ctx)
     with mp.workdps(ctx.working_digits):
-        err = abs(numeric.value - closed.value)
-        return MellinCheck(
-            function_id=function_id,
-            s=wrap(to_mpf(s), ctx),
-            numeric=numeric,
-            closed=closed,
-            abs_err=wrap(err, ctx),
-            passed=bool(err < pass_threshold(ctx)),
-        )
+        err = wrap(abs(numeric.value - closed.value), ctx)
+    return _mellin_record("transform", function_id, s, numeric, closed, err, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +375,12 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal
         quad = _refine_trapezoid(values, hi - lo, h0, tol)
         closed = mellin_closed(function_id, s, ctx).value / (mpf(2) ** sv - 1)
         return wrap(abs(quad - closed), ctx)
+
+
+def harmonic_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
+    """harmonic_factor_check held to pass_threshold(ctx), a "harmonic" MellinCheck."""
+    err = harmonic_factor_check(function_id, s, ctx)
+    return _mellin_record("harmonic", function_id, s, None, None, err, ctx)
 
 
 # g1 and g2 beyond their _kernel, as (C, lam, a): g_n(y) <= C y^{-b}, and
@@ -466,18 +498,14 @@ def g_expansion(n: int, x, ctx: PrecisionContext) -> BigReal:
 
 
 def dual_check(n: int, x, ctx: PrecisionContext) -> DualCheck:
+    """|g_direct - g_expansion| held to pass_threshold(ctx)."""
     direct = g_direct(n, x, ctx)
     expansion = g_expansion(n, x, ctx)
+    bound = wrap(pass_threshold(ctx), ctx)
     with mp.workdps(ctx.working_digits):
-        err = abs(direct.value - expansion.value)
-        return DualCheck(
-            n=n,
-            x=wrap(to_mpf(x), ctx),
-            direct=direct,
-            expansion=expansion,
-            abs_err=wrap(err, ctx),
-            passed=bool(err < pass_threshold(ctx)),
-        )
+        err = wrap(abs(direct.value - expansion.value), ctx)
+        x_big = wrap(to_mpf(x), ctx)
+    return DualCheck(n, x_big, direct, expansion, err, bound, within(err, bound))
 
 
 def lemma_step(ctx: PrecisionContext):
@@ -495,7 +523,9 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
     dR/du a central difference of step h (default lemma_step(ctx)); the exact
     identity makes the residual pure finite-difference error, O(h^2).
 
-    ``h`` is overridable so the h^2 scaling itself can be observed.
+    ``h`` is overridable so the h^2 scaling itself can be observed.  An
+    n |k - u| over 10^100, where every term is below 2^(-10^99), is a
+    DomainError up front: past ~10^4300 Python cannot print the residual's exponent.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 3:
         raise DomainError(f"lemma check requires integer n >= 3, got {n!r}")
@@ -503,6 +533,9 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
         raise DomainError(f"k must be an integer, got {k!r}")
     with mp.workdps(ctx.working_digits):
         uv = to_mpf(u)
+        span = n * abs(k - uv)
+        if span > 10**100:
+            raise DomainError(f"lemma check needs n |k - u| <= 1e100, got {mp.nstr(span, 6)}")
         hv = lemma_step(ctx) if h is None else to_mpf(h)
         if hv <= 0:
             raise DomainError("finite-difference step must be positive")
@@ -516,3 +549,13 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
         p = mp.sqrt(x) / (1 + x)
         a = to_mpf(recurrence_factor(n))
         return wrap(abs(p**n - a * p ** (n - 2) - drdu), ctx)
+
+
+def antiderivative_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> LemmaCheck:
+    """lemma_check's residual held to 10 h^2, h as in lemma_check."""
+    with mp.workdps(ctx.working_digits):
+        hv = lemma_step(ctx) if h is None else to_mpf(h)
+        h_big = wrap(hv, ctx)
+        bound = wrap(10 * hv**2, ctx)
+    residual = lemma_check(n, k, u, ctx, h=h_big)
+    return LemmaCheck(n, k, u, h_big, residual, bound, within(residual, bound))

@@ -52,6 +52,14 @@ class BigReal:
         return mp.nstr(self.value, self.precision_digits + 5, strip_zeros=True)
 
 
+def within(residual: BigReal, bound: BigReal) -> bool:
+    """|residual| <= bound, the verdict of every check.  abs runs at the
+    residual's own precision, where it is exact: at 53 bits it would round,
+    and a residual of -bound (1 + 2^-70) would pass."""
+    with mp.workdps(residual.precision_digits):
+        return bool(abs(residual.value) <= bound.value)
+
+
 def wrap(value, ctx: PrecisionContext) -> BigReal:
     """Tag an mpf computed under ctx's working precision as a BigReal."""
     return BigReal(value, ctx.working_digits)

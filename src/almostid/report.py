@@ -14,7 +14,7 @@ import json
 from mpmath import mp
 
 from .gallery import GalleryEntry
-from .mellin import DualCheck, MellinCheck
+from .mellin import DualCheck, LemmaCheck, MellinCheck
 from .precision import BigReal
 from .series import IdentityReport, ScanError
 
@@ -28,103 +28,58 @@ LEMMA_COLUMNS = ("n", "k", "u", "h", "residual", "bound", "pass", "error")
 GALLERY_COLUMNS = ("item", "description", "digits", "value", "reference", "delta", "pass", "error")
 
 
-def identity_row(item) -> dict:
-    if isinstance(item, ScanError):
-        return error_row(IDENTITY_COLUMNS, n=item.n, base=item.base_m, error=item.message)
-    r: IdentityReport = item
-    with mp.workdps(r.u.value.precision_digits):
-        bounds = r.u.tail_bound.value + r.r_predicted.tail_bound.value
-        bounds_text = BigReal(bounds, r.u.value.precision_digits).decimal()
-    return {
-        "n": r.n,
-        "base": r.base_m,
-        "digits": r.digits,
-        "u": r.u.value.decimal(),
-        "target_rational": r.target.rational_text(),
-        "target_has_pi": r.target.has_pi,
-        "delta": r.delta.decimal(),
-        "r_predicted": r.r_predicted.value.decimal(),
-        "residual": r.residual.decimal(),
-        "tail_bounds": bounds_text,
-        "pass": r.passed,
-        "error": "",
-    }
-
-
-def mellin_row(check: MellinCheck) -> dict:
-    return {
-        "kind": "transform",
-        "function": check.function_id,
-        "s": check.s.decimal(),
-        "numeric": check.numeric.decimal(),
-        "closed": check.closed.decimal(),
-        "abs_err": check.abs_err.decimal(),
-        "pass": check.passed,
-        "error": "",
-    }
-
-
-def harmonic_row(function_id: str, s: BigReal, abs_err: BigReal, passed: bool) -> dict:
-    return {
-        "kind": "harmonic",
-        "function": function_id,
-        "s": s.decimal(),
-        "numeric": "",
-        "closed": "",
-        "abs_err": abs_err.decimal(),
-        "pass": passed,
-        "error": "",
-    }
-
-
-def error_row(columns, **known) -> dict:
-    """Row for a failed item; cells not named stay empty, pass is false."""
-    row = {c: known.get(c, "") for c in columns}
-    row["pass"] = False
+def format_row(columns, passed, error="", **cells) -> dict:
+    """A row of ``columns``, which end in "pass" and "error": ``cells`` give
+    the others, a BigReal as its decimal string and one absent or None as
+    empty."""
+    row = {}
+    for c in columns[:-2]:
+        value = cells.get(c)
+        if value is None:
+            value = ""
+        elif isinstance(value, BigReal):
+            value = value.decimal()
+        row[c] = value
+    row["pass"] = passed
+    row["error"] = error
     return row
 
 
+def identity_row(item) -> dict:
+    if isinstance(item, ScanError):
+        return format_row(IDENTITY_COLUMNS, False, item.message, n=item.n, base=item.base_m)
+    r: IdentityReport = item
+    bounds = mp.fadd(r.u.tail_bound.value, r.r_predicted.tail_bound.value,
+                     dps=r.u.value.precision_digits)
+    return format_row(
+        IDENTITY_COLUMNS, r.passed, n=r.n, base=r.base_m, digits=r.digits, u=r.u.value,
+        target_rational=r.target.rational_text(), target_has_pi=r.target.has_pi,
+        delta=r.delta, r_predicted=r.r_predicted.value, residual=r.residual,
+        tail_bounds=BigReal(bounds, r.u.value.precision_digits))
+
+
+def mellin_row(check: MellinCheck) -> dict:
+    return format_row(MELLIN_COLUMNS, check.passed, kind=check.kind,
+                      function=check.function_id, s=check.s, numeric=check.numeric,
+                      closed=check.closed, abs_err=check.abs_err)
+
+
 def dual_row(check: DualCheck) -> dict:
-    return {
-        "n": check.n,
-        "x": check.x.decimal(),
-        "direct": check.direct.decimal(),
-        "expansion": check.expansion.decimal(),
-        "abs_err": check.abs_err.decimal(),
-        "pass": check.passed,
-        "error": "",
-    }
+    return format_row(DUAL_COLUMNS, check.passed, n=check.n, x=check.x, direct=check.direct,
+                      expansion=check.expansion, abs_err=check.abs_err)
 
 
-def lemma_row(n: int, k: int, u_text: str, h: BigReal, residual: BigReal,
-              bound: BigReal, passed: bool) -> dict:
-    return {
-        "n": n,
-        "k": k,
-        "u": u_text,
-        "h": h.decimal(),
-        "residual": residual.decimal(),
-        "bound": bound.decimal(),
-        "pass": passed,
-        "error": "",
-    }
+def lemma_row(check: LemmaCheck) -> dict:
+    return format_row(LEMMA_COLUMNS, check.passed, n=check.n, k=check.k, u=check.u, h=check.h,
+                      residual=check.residual, bound=check.bound)
 
 
 def gallery_row(entry: GalleryEntry) -> dict:
-    reference = (
-        str(entry.reference) if isinstance(entry.reference, int)
-        else entry.reference.decimal()
-    )
-    return {
-        "item": entry.id,
-        "description": entry.description,
-        "digits": entry.digits,
-        "value": entry.value.decimal(),
-        "reference": reference,
-        "delta": entry.delta.decimal(),
-        "pass": True,
-        "error": "",
-    }
+    reference = (str(entry.reference) if isinstance(entry.reference, int)
+                 else entry.reference)
+    return format_row(GALLERY_COLUMNS, entry.passed, item=entry.id,
+                      description=entry.description, digits=entry.digits,
+                      value=entry.value, reference=reference, delta=entry.delta)
 
 
 def render_json(payload) -> str:

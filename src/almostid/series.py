@@ -29,13 +29,14 @@ from .precision import (
     PrecisionContext,
     rational,
     to_mpf,
+    within,
     wrap,
 )
 
 _MAX_TERMS = 200_000
-# largest n verify_identity takes: the correction series costs ~n^2 per call,
-# and past n ~ 14 280 the denominator of t_n has more than 4300 digits,
-# which Python refuses to print
+# largest n verify_identity and the correction series take: the series costs
+# ~n^2 per call, and past n ~ 14 280 the denominator of t_n has more than
+# 4300 digits, which Python refuses to print
 _MAX_N = 10_000
 
 
@@ -57,7 +58,8 @@ class IdentityReport:
     that chain is what u_n - t_n equals exactly, so ``residual`` collapses to
     truncation noise when everything is consistent.  pred(n) is summed as one
     series over k, so its ``terms_used`` is the number of k summed, and its
-    tail bound is that series' one bound.
+    tail bound is that series' one bound.  ``passed`` is within(residual,
+    bound), with bound the two tail bounds plus 10^(-digits).
     """
 
     n: int
@@ -67,6 +69,7 @@ class IdentityReport:
     delta: BigReal
     r_predicted: SeriesValue
     residual: BigReal
+    bound: BigReal
     digits: int
     passed: bool
 
@@ -210,6 +213,9 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
     in mpf by 8 pi^2 / ln m or 4 pi and by k q^k / (1 - q^(2k)) or
     q^k / (1 + q^(2k)), q = e^(-beta) carried by one multiplication per term.
     """
+    name = "predicted_correction" if chain else "r_correction"
+    if n > _MAX_N:
+        raise DomainError(f"n = {n} is over the cap {_MAX_N} of {name}")
     even = n % 2 == 0
     with mp.workdps(ctx.working_digits):
         tol = mpf(10) ** (-ctx.working_digits)
@@ -233,7 +239,6 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
 
         # e^(-k beta) < 10^(-working digits) needs k > working digits * ln 10 / beta
         # whatever the polynomial does, so a base that large is refused unsummed
-        name = "predicted_correction" if chain else "r_correction"
         at = f"n={n} and a base of {_digit_count(base_m)} digits"
         # and the stop rule's rho < 1 needs (n-1) ln(1 + 1/k) < beta, so
         # k > (n-1)/beta - 1
@@ -290,6 +295,7 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     omega_k = 2 pi k / ln m, w = omega_k^2: one integer product of d + w over
     d = 0 and ((j-2)/2)^2, j = n-2, n-4, ... >= 3 (see _correction_series),
     with floor((n-1)/2) floors below 2^(1-bits) relative and one mpf rounding.
+    An n over _MAX_N is a DomainError, raised before any term is summed.
     """
     _check_n(n)
     _check_base(base_m)
@@ -315,6 +321,7 @@ def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesVa
     omega_k = 2 pi k / ln m: one integer product of d + omega_k^2 over
     d = ((j-2)/2)^2, j = n, n-2, ... >= 3 (see _correction_series), with
     floor((n-1)/2) floors below 2^(1-bits) relative and one mpf rounding.
+    An n over _MAX_N is a DomainError, raised before any term is summed.
     """
     _check_n(n)
     _check_base(base_m)
@@ -324,10 +331,10 @@ def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesVa
 def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityReport:
     """End-to-end check of u_n = t_n + chained correction for one cell.
 
-    The row passes when |residual| is within the two reported tail bounds
-    plus a slack of 10^(-digits).  The tail bounds count truncation only;
-    the slack absorbs rounding.  An n over _MAX_N is a DomainError, raised
-    before any sum.
+    The report's ``bound`` is the two reported tail bounds plus a slack of
+    10^(-digits), and it passes when |residual| <= bound.  The tail bounds
+    count truncation only; the slack absorbs rounding.  An n over _MAX_N is
+    a DomainError, raised before any sum.
     """
     _check_n(n)
     if n > _MAX_N:
@@ -337,20 +344,11 @@ def verify_identity(n: int, base_m: int, ctx: PrecisionContext) -> IdentityRepor
     tgt = target(n)
     with mp.workdps(ctx.working_digits):
         delta = u.value.value - tgt.to_real(ctx).value
-        residual = delta - pred.value.value
-        threshold = (u.tail_bound.value + pred.tail_bound.value
-                     + mpf(10) ** (-ctx.digits))
-        return IdentityReport(
-            n=n,
-            base_m=base_m,
-            u=u,
-            target=tgt,
-            delta=wrap(delta, ctx),
-            r_predicted=pred,
-            residual=wrap(residual, ctx),
-            digits=ctx.digits,
-            passed=bool(abs(residual) <= threshold),
-        )
+        residual = wrap(delta - pred.value.value, ctx)
+        bound = wrap(u.tail_bound.value + pred.tail_bound.value
+                     + mpf(10) ** (-ctx.digits), ctx)
+        return IdentityReport(n, base_m, u, tgt, wrap(delta, ctx), pred, residual, bound,
+                              ctx.digits, within(residual, bound))
 
 
 def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:

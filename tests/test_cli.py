@@ -468,3 +468,10 @@ class TestErrorRows:
             assert row["error"].startswith("u_direct needs K = ")
             assert row["error"].endswith(f"terms at n={row['n']}, m=2, over the cap 60")
         assert rows[4:] == clean[4:]
+
+
+@pytest.mark.parametrize("u", ["1e4400", "-1e4400"])
+def test_lemma_huge_u_is_usage_error(runner, u):
+    result = runner.invoke(main, ["lemma", "--n", "3", "--k", "0", "--u", u, "--digits", "30"])
+    assert result.exit_code == 2
+    assert "n |k - u| <= 1e100" in result.output

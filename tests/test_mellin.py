@@ -416,3 +416,10 @@ class TestLemma:
             lemma_check(3, 0.5, 0, ctx30)
         with pytest.raises(DomainError):
             lemma_check(3, 0, 0, ctx30, h=0)
+
+
+@pytest.mark.parametrize("u", ["1e4400", "-1e4400"])
+def test_lemma_refuses_huge_u(u, ctx30):
+    # the residual's decimal exponent would have more digits than Python prints
+    with pytest.raises(DomainError, match=r"n \|k - u\| <= 1e100"):
+        lemma_check(3, 0, u, ctx30)

@@ -559,3 +559,11 @@ class TestPrecisionScaling:
                 mpf(10) ** (-30) * abs(uhi.value.value))
             assert abs(rlo.value.value - rhi.value.value) <= (
                 mpf(10) ** (-30) * abs(rhi.value.value))
+
+
+@pytest.mark.parametrize("series", [predicted_correction, r_correction])
+def test_correction_series_refuse_n_over_cap(series, ctx30):
+    # n = 10 001 would sum for about a second, and the cost grows as ~n^2
+    with pytest.raises(DomainError,
+                       match=f"n = 10001 is over the cap 10000 of {series.__name__}"):
+        series(10_001, 2, ctx30)
