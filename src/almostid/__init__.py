@@ -48,7 +48,6 @@ from .precision import (
 )
 from .series import (
     IdentityReport,
-    ScanError,
     SeriesValue,
     check_recurrence,
     coeff_b,
@@ -56,7 +55,6 @@ from .series import (
     predicted_correction,
     r_correction,
     recurrence_factor,
-    scan,
     target,
     u_direct,
     verify_identity,
@@ -77,7 +75,6 @@ __all__ = [
     "LemmaCheck",
     "MellinCheck",
     "PrecisionContext",
-    "ScanError",
     "SeriesValue",
     "antiderivative_check",
     "borwein_sum",
@@ -105,7 +102,6 @@ __all__ = [
     "ramanujan_constant",
     "rational",
     "recurrence_factor",
-    "scan",
     "target",
     "u_direct",
     "verify_identity",

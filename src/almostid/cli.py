@@ -10,10 +10,10 @@ Usage examples:
     almostid gallery --item ramanujan163 --digits 50
 
 Exit status: 0 when every per-item check passed, 1 on any verification
-failure, 2 on usage or domain errors.  A cell that does not converge, and in
-scan also a cell outside the domain, gets its own error row.  All numerics
-print as decimal strings; repeated runs with the same configuration emit
-byte-identical reports.
+failure, 2 on usage or domain errors.  In _rows, the one cell -> row loop, a
+cell that does not converge, and in scan also one outside the domain, gets its
+own error row.  All numerics print as decimal strings; repeated runs with the
+same configuration emit byte-identical reports.
 """
 
 from __future__ import annotations
@@ -90,18 +90,19 @@ def _identity_context(command: str, digits: int, residual_tol):
     return ctx, gate
 
 
-def _rows(columns, keys, cells, row_of):
-    """The cell -> row loop of every subcommand but scan, whose loop is series.scan.
+def _rows(columns, keys, cells, row_of, errors=(ConvergenceError,)):
+    """The cell -> row loop of every subcommand.
 
-    row_of(cell) computes the one row of a cell.  A ConvergenceError gives an
-    error row whose key columns ``keys`` hold the cell's own values; any other
-    failure propagates.
+    row_of(cell) computes the one row of a cell.  An exception in ``errors``
+    gives an error row whose key columns ``keys`` hold the cell's own values;
+    any other failure propagates.  ``errors`` is ConvergenceError, and for
+    scan also DomainError, so that a cell like n = 0 gets its own row.
     """
     rows = []
     for cell in cells:
         try:
             rows.append(row_of(cell))
-        except ConvergenceError as exc:
+        except errors as exc:
             rows.append(report_mod.format_row(columns, False, str(exc), **dict(zip(keys, cell))))
     return rows
 
@@ -122,10 +123,13 @@ def _emit(columns, rows, fmt, out_path, ok=True, single=False):
     sys.exit(0 if ok and all(row["pass"] for row in rows) else 1)
 
 
-def _emit_identity(rows, ctx, gate, fmt, out_path, single=False):
-    """_emit for verify/scan rows; with a --residual-tol gate, the exit status
-    also fails unless every computed |residual| is within it.  The residual
-    is read back from its decimal column, which round-trips exactly."""
+def _emit_identity(cells, ctx, gate, fmt, out_path, errors=(ConvergenceError,), single=False):
+    """_emit for the rows _rows makes of verify/scan cells with ``errors``;
+    a --residual-tol gate also fails the exit status unless every computed
+    |residual|, read back from its exact decimal column, is within it."""
+    rows = _rows(report_mod.IDENTITY_COLUMNS, ("n", "base"), cells,
+                 lambda cell: report_mod.identity_row(series_mod.verify_identity(*cell, ctx)),
+                 errors)
     with mp.workdps(ctx.working_digits):
         ok = gate is None or all(abs(mpf(row["residual"])) <= gate
                                  for row in rows if row["residual"] != "")
@@ -172,9 +176,7 @@ def verify(n_text, base, residual_tol, digits, fmt, out_path):
         if len(values) != 1:
             raise DomainError("verify takes a single n; use scan for ranges")
         ctx, gate = _identity_context("verify", digits, residual_tol)
-        rows = _rows(report_mod.IDENTITY_COLUMNS, ("n", "base"), [(values[0], base)],
-                     lambda cell: report_mod.identity_row(series_mod.verify_identity(*cell, ctx)))
-        _emit_identity(rows, ctx, gate, fmt, out_path, single=True)
+        _emit_identity([(values[0], base)], ctx, gate, fmt, out_path, single=True)
 
 
 @main.command()
@@ -190,9 +192,9 @@ def scan(n_text, bases_text, residual_tol, digits, fmt, out_path):
         n_values = parse_int_range(n_text)
         bases = parse_int_list(bases_text)
         ctx, gate = _identity_context("scan", digits, residual_tol)
-        reports = series_mod.scan(n_values, bases, ctx)
-        _emit_identity([report_mod.identity_row(item) for item in reports],
-                       ctx, gate, fmt, out_path)
+        # duplicates collapse; bases ascending, then n ascending
+        cells = [(n, m) for m in sorted(set(bases)) for n in sorted(set(n_values))]
+        _emit_identity(cells, ctx, gate, fmt, out_path, (DomainError, ConvergenceError))
 
 
 @main.command()

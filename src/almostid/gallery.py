@@ -13,7 +13,7 @@ from typing import Union
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
-from .precision import BigReal, PrecisionContext, within, wrap
+from .precision import GUARD_DIGITS, BigReal, PrecisionContext, within, wrap
 
 _RAMANUJAN_D = (37, 58, 163)
 _BORWEIN_DIGIT_CAP = 2000
@@ -175,13 +175,22 @@ def hickerson(n: int, ctx: PrecisionContext) -> GalleryEntry:
     entry's bound is 1/2, so that passing means round(value) = a(n); that
     postcondition genuinely fails at n = 17, and this function raises
     ConvergenceError there rather than pretend.
+
+    With fewer than 5 working digits past the digits of a(n) the gap can
+    come out wrong (at n = 16 and 1 digit it reads -1.0, not -0.487), so
+    such a cell is a DomainError; every n is accepted at 10 digits and more.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _HICKERSON_MAX:
         raise DomainError(f"hickerson supports 1 <= n <= {_HICKERSON_MAX}, got {n!r}")
+    reference = ordered_bell(n)
+    need = len(str(reference)) + 5 - GUARD_DIGITS
+    if ctx.digits < need:
+        raise DomainError(f"hickerson{n} needs digits >= {need} to resolve its gap to "
+                          f"a({n}) = {reference}, got {ctx.digits}")
     with mp.workdps(ctx.working_digits):
         value = mpf(math.factorial(n)) / (2 * mp.ln(mpf(2)) ** (n + 1))
         result = _entry(f"hickerson{n}", f"{n}!/(2 ln(2)^{n + 1}) vs ordered Bell a({n})",
-                        value, ordered_bell(n), ctx, mpf(1) / 2)
+                        value, reference, ctx, mpf(1) / 2)
         if not result.passed:
             raise ConvergenceError(
                 f"rounding identity fails at n={n}: value - a(n) = "

@@ -552,10 +552,20 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
 
 
 def antiderivative_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> LemmaCheck:
-    """lemma_check's residual held to 10 h^2, h as in lemma_check."""
+    """lemma_check's residual held to 10 h^2, h as in lemma_check.
+
+    Every term of the identity is about p^{n-2} (p as in lemma_check), so a
+    cell where p^{n-2} is below 10 h^2 would pass whatever the residual: once
+    lemma_check has accepted the cell, it is a DomainError instead of a row.
+    """
     with mp.workdps(ctx.working_digits):
         hv = lemma_step(ctx) if h is None else to_mpf(h)
-        h_big = wrap(hv, ctx)
         bound = wrap(10 * hv**2, ctx)
-    residual = lemma_check(n, k, u, ctx, h=h_big)
-    return LemmaCheck(n, k, u, h_big, residual, bound, within(residual, bound))
+        residual = lemma_check(n, k, u, ctx, h=hv)
+        x = mpf(2) ** (k - to_mpf(u))
+        size = (mp.sqrt(x) / (1 + x)) ** (n - 2)
+        if size < bound.value:
+            raise DomainError(f"lemma cell n={n}, k={k}, u={u} checks nothing: its terms, "
+                              f"about p^(n-2) = {mp.nstr(size, 3)}, are below the bound "
+                              f"10 h^2 = {mp.nstr(bound.value, 3)}")
+    return LemmaCheck(n, k, u, wrap(hv, ctx), residual, bound, within(residual, bound))

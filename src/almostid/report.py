@@ -16,7 +16,7 @@ from mpmath import mp
 from .gallery import GalleryEntry
 from .mellin import DualCheck, LemmaCheck, MellinCheck
 from .precision import BigReal
-from .series import IdentityReport, ScanError
+from .series import IdentityReport
 
 IDENTITY_COLUMNS = (
     "n", "base", "digits", "u", "target_rational", "target_has_pi",
@@ -45,10 +45,7 @@ def format_row(columns, passed, error="", **cells) -> dict:
     return row
 
 
-def identity_row(item) -> dict:
-    if isinstance(item, ScanError):
-        return format_row(IDENTITY_COLUMNS, False, item.message, n=item.n, base=item.base_m)
-    r: IdentityReport = item
+def identity_row(r: IdentityReport) -> dict:
     bounds = mp.fadd(r.u.tail_bound.value, r.r_predicted.tail_bound.value,
                      dps=r.u.value.precision_digits)
     return format_row(

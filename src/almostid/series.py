@@ -74,15 +74,6 @@ class IdentityReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ScanError:
-    """A per-cell failure captured without aborting the surrounding scan."""
-
-    n: int
-    base_m: int
-    message: str
-
-
 def _check_n(n, minimum=1):
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"n must be an integer, got {n!r}")
@@ -371,19 +362,3 @@ def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
         residual = un.value.value - a * un2.value.value - rn.value.value
     return wrap(residual, ctx)
 
-
-def scan(n_values, bases, ctx: PrecisionContext):
-    """Verify a grid of (base, n) cells, ordered by (base_m, n), never aborting.
-
-    Duplicate n and bases collapse.  Every cell gets the report
-    verify_identity gives it, or, when that raises DomainError or
-    ConvergenceError, a ScanError of its own; the other cells are unaffected.
-    """
-    results = []
-    for base_m in sorted(set(bases)):
-        for n in sorted(set(n_values)):
-            try:
-                results.append(verify_identity(n, base_m, ctx))
-            except (DomainError, ConvergenceError) as exc:
-                results.append(ScanError(n=n, base_m=base_m, message=str(exc)))
-    return results

@@ -171,6 +171,21 @@ class TestScanCommand:
         rows = json.loads(result.output)
         assert json.loads(render_json(rows)) == rows
 
+    def test_rows_equal_verify(self, runner):
+        # each scan row is the verify object of its cell, field for field
+        result = runner.invoke(
+            main, ["scan", "--n", "1..8", "--bases", "2,3,1000000", "--digits", "30",
+                   "--format", "json"])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)
+        assert [(row["n"], row["base"]) for row in rows] == [
+            (n, m) for m in (2, 3, 10**6) for n in range(1, 9)]
+        for row in rows:
+            single = runner.invoke(
+                main, ["verify", "--n", str(row["n"]), "--base", str(row["base"]),
+                       "--digits", "30", "--format", "json"])
+            assert json.loads(single.output) == row, (row["n"], row["base"])
+
 
 class TestMellinCommand:
     def test_single_cell_json(self, runner):
@@ -468,6 +483,33 @@ class TestErrorRows:
             assert row["error"].startswith("u_direct needs K = ")
             assert row["error"].endswith(f"terms at n={row['n']}, m=2, over the cap 60")
         assert rows[4:] == clean[4:]
+
+    def test_scan_n_over_cap_gets_its_own_row(self, runner, monkeypatch):
+        import almostid.series as series_mod
+
+        monkeypatch.setattr(series_mod, "_MAX_N", 3)
+        result = runner.invoke(main, ["scan", "--n", "2..4", "--digits", "30", "--format", "json"])
+        assert result.exit_code == 1
+        rows = json.loads(result.output)
+        assert [row["pass"] for row in rows] == [True, True, False]
+        assert rows[2] == {
+            "n": 4, "base": 2, "digits": "", "u": "", "target_rational": "",
+            "target_has_pi": "", "delta": "", "r_predicted": "", "residual": "",
+            "tail_bounds": "", "pass": False,
+            "error": "n = 4 is over the cap 3 of verify_identity"}
+
+
+@pytest.mark.parametrize("args, cause", [
+    ("gallery --item hickerson --digits 1", "hickerson13 needs digits >= 2"),
+    ("lemma --n 3 --k 0 --u 1e50 --digits 30", "are below the bound 10 h^2"),
+    ("lemma --n 3 --k 0 --u 1e20 --digits 30", "are below the bound 10 h^2"),
+], ids=["hickerson_digits_1", "lemma_u_1e50", "lemma_u_1e20"])
+def test_vacuous_cell_is_usage_error(runner, args, cause):
+    # a cell whose row could not fail, or whose verdict the digits cannot
+    # resolve, is refused instead of reported
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == 2
+    assert cause in result.output
 
 
 @pytest.mark.parametrize("u", ["1e4400", "-1e4400"])

@@ -3,6 +3,7 @@ and e^pi constants, the Gaussian-theta sum, and factorial/ordered-Bell
 quotients."""
 
 import math
+import re
 
 import pytest
 from mpmath import mp, mpf
@@ -202,6 +203,29 @@ class TestHickerson:
     def test_domain(self, n, ctx50):
         with pytest.raises(DomainError):
             hickerson(n, ctx50)
+
+    def test_low_digits_refused_or_right(self):
+        # every cell accepted at 1..20 digits has the 60-digit verdict and a
+        # gap within 1e-3 of the 60-digit gap; unrefused, n = 16 at 1 digit
+        # reads -1.0 instead of -0.487 and fails
+        def outcome(n, digits):
+            try:
+                return True, hickerson(n, PrecisionContext(digits=digits)).delta.value
+            except ConvergenceError as err:
+                return False, mpf(re.search(r"value - a\(n\) = (\S+),", str(err)).group(1))
+
+        for n in range(1, 18):
+            passed, delta = outcome(n, 60)
+            for digits in range(1, 21):
+                try:
+                    low_passed, low_delta = outcome(n, digits)
+                except DomainError:
+                    assert digits < 10, (n, digits)
+                    continue
+                assert low_passed == passed, (n, digits)
+                assert abs(low_delta - delta) <= mpf("1e-3"), (n, digits)
+        with pytest.raises(DomainError, match="hickerson16 needs digits >= 6"):
+            hickerson(16, PrecisionContext(digits=1))
 
 
 class TestCatalogue:

@@ -1,8 +1,7 @@
 """Tests for the bilateral sums, exact targets, hyperbolic correction
-series, the recurrence, and grid scanning."""
+series, the recurrence, and the per-cell identity check."""
 
 import time
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,14 +13,12 @@ from almostid import (
     DomainError,
     IdentityReport,
     PrecisionContext,
-    ScanError,
     check_recurrence,
     coeff_b,
     coeff_c,
     predicted_correction,
     r_correction,
     recurrence_factor,
-    scan,
     target,
     u_direct,
     verify_identity,
@@ -477,72 +474,6 @@ class TestVerifyIdentity:
         monkeypatch.setattr(series_mod, "u_direct", unreachable)
         with pytest.raises(DomainError, match="n = 10001 is over the cap 10000"):
             verify_identity(10_001, 2, ctx30)
-
-
-class TestScan:
-    def test_ordering_and_shape(self, ctx30):
-        rows = scan([3, 1, 2], [3, 2], ctx30)
-        assert [(r.base_m, r.n) for r in rows] == [
-            (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
-        assert all(isinstance(r, IdentityReport) for r in rows)
-        assert all(r.passed for r in rows)
-
-    def test_duplicates_collapse(self, ctx30):
-        rows = scan([2, 2, 2], [2], ctx30)
-        assert len(rows) == 1
-
-    def test_empty_inputs(self, ctx30):
-        assert scan([], [2], ctx30) == []
-        assert scan([1], [], ctx30) == []
-
-    def test_bad_cell_becomes_error_row(self, ctx30, monkeypatch):
-        # a DomainError at n = 0 and a ConvergenceError at (n, m) = (2, 3)
-        # each fail their own cell only; every other cell is verify_identity's
-        import almostid.series as series_mod
-
-        real = series_mod.predicted_correction
-
-        def fail_at_2_3(n, base_m, ctx):
-            if (n, base_m) == (2, 3):
-                raise ConvergenceError("no convergence at n = 2, m = 3")
-            return real(n, base_m, ctx)
-
-        monkeypatch.setattr(series_mod, "predicted_correction", fail_at_2_3)
-        rows = scan([0, 1, 2, 3], [2, 3, 10**6], ctx30)
-        assert [(r.base_m, r.n) for r in rows] == [
-            (m, n) for m in (2, 3, 10**6) for n in (0, 1, 2, 3)]
-        errors = {(r.n, r.base_m): r.message for r in rows if isinstance(r, ScanError)}
-        assert errors == {
-            (0, m): "n = 0 diverges: every bilateral term equals ln(m)" for m in (2, 3, 10**6)
-        } | {(2, 3): "no convergence at n = 2, m = 3"}
-        monkeypatch.setattr(series_mod, "predicted_correction", real)
-        for rep in rows:
-            if isinstance(rep, IdentityReport):
-                assert rep == verify_identity(rep.n, rep.base_m, ctx30), (rep.n, rep.base_m)
-
-    def test_n_over_cap_becomes_error_row(self, ctx30, monkeypatch):
-        import almostid.series as series_mod
-
-        monkeypatch.setattr(series_mod, "_MAX_N", 3)
-        rows = scan([2, 3, 4], [2], ctx30)
-        assert [r.passed for r in rows[:2]] == [True, True]
-        assert rows[2] == ScanError(n=4, base_m=2,
-                                    message="n = 4 is over the cap 3 of verify_identity")
-
-    def test_reports_equal_verify_identity(self, ctx30):
-        rows = scan(range(1, 9), [2, 3, 10**6], ctx30)
-        assert len(rows) == 24
-        for rep in rows:
-            single = verify_identity(rep.n, rep.base_m, ctx30)
-            for f in fields(IdentityReport):
-                assert getattr(rep, f.name) == getattr(single, f.name), (rep.n, rep.base_m, f.name)
-
-    def test_deterministic(self, ctx30):
-        a = scan([1, 4], [2, 4], ctx30)
-        b = scan([1, 4], [2, 4], ctx30)
-        for ra, rb in zip(a, b):
-            assert ra.u.value.value == rb.u.value.value
-            assert ra.residual.value == rb.residual.value
 
 
 class TestPrecisionScaling:

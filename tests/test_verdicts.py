@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 
 from almostid import (
     BigReal,
+    DomainError,
     antiderivative_check,
     borwein_sum,
     dual_check,
@@ -74,6 +75,14 @@ def test_lemma_bound_is_ten_h_squared(h, ctx30):
     assert record.passed == within(record.residual, record.bound)
     assert record.passed
     assert record.u == "2.5"
+
+
+def test_lemma_refuses_terms_below_the_bound(ctx30):
+    # with h = 0.01 the bound is 1e-3: at n = 10, k = 4, u = 0 every term is
+    # about p^8 = (4/17)^8 = 9.39e-6, so no residual could fail the row
+    assert antiderivative_check(3, 0, "0", ctx30, h="0.01").passed  # p = 1/2
+    with pytest.raises(DomainError, match=r"p\^\(n-2\) = 9\.39e-6, are below"):
+        antiderivative_check(10, 4, "0", ctx30, h="0.01")
 
 
 GALLERY = {
