@@ -8,7 +8,8 @@ Routes verified against each other:
     node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1)
   * g_direct vs g_expansion - the dilate sums of g1 and g2, summed directly
     and as the residue sum of closed(s) x^{-s}/(2^s - 1), with the closed
-    transform of _kernel read at complex s
+    transform of _kernel read at complex s; _ratio_sum's rule stops each sum,
+    with rho g(2^{k+1}x)/g(2^k x), x (power) or 2 e^{-2 pi^2/ln 2} (oscillating)
   * lemma_check     - the antiderivative identity via finite differences
 
 All integrands become analytic and exponentially decaying in both directions
@@ -36,12 +37,13 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
 from .precision import BigReal, PrecisionContext, to_mpf, within, wrap
-from .series import recurrence_factor
+from .series import SeriesValue, _ratio_sum, recurrence_factor
 
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
 
@@ -403,44 +405,32 @@ def _dilate_kernel(route, n, x):
     return (xv, g, closed, b, *_DILATE[n])
 
 
-def g_direct(n: int, x, ctx: PrecisionContext) -> BigReal:
-    """Direct dilate sum F(x) = sum_{k>=1} g_n(2^k x), n = 1 or 2.
+def g_direct(n: int, x, ctx: PrecisionContext) -> SeriesValue:
+    """Direct dilate sum F(x) = sum_{k>=1} g_n(2^k x), n = 1 or 2, stopped at
+    the first term <= 10^(-working digits) times the running sum with rho_k < 1.
 
-    g_n(y) <= C y^{-b}, with b the right decay offset of g_n's _kernel
-    (2 y^{-1/2} for g1, y^{-1} for g2), so the tail after k terms is at most
-    C (2^{k+1} x)^{-b}/(1 - 2^{-b}).  The sum stops at the first k whose tail
-    bound is below 10^(-working digits).  That k is found before summing,
-    from a closed-form estimate moved to the first k that passes, so a k over
-    the cap of 10^5 is refused up front and the bound is evaluated at a few k
-    instead of at every term.
+    rho_k = g_n(2^{k+1} x)/g_n(2^k x): ln g_n(e^v) is concave in v for g1
+    and g2, so g_n(2y)/g_n(y) falls as y grows.  Refused up front: a sum the
+    estimate from g_n(y) <= C y^{-b} (2 y^{-1/2} for g1, y^{-1} for g2, b the
+    right decay offset of g_n's _kernel) puts over 10^5 terms.
     """
     with mp.workdps(ctx.working_digits):
         xv, g, _, b, big_c, _, _ = _dilate_kernel("g_direct", n, x)
-        tol = mpf(10) ** (-ctx.working_digits)
-        geometric = 1 - mpf(2) ** (-b)
+        est = (mp.log(big_c / (1 - mpf(2) ** (-b)), 2) + ctx.working_digits * mp.log(10, 2)) / b
+        need = int(mp.ceil(est - mp.log(xv, 2) - 1))
+        if need > 100_000:
+            raise ConvergenceError(f"g_direct needs {need} terms, over the cap of 100000")
 
-        def tail(k):
-            return big_c * mp.ldexp(xv, k + 1) ** (-b) / geometric
+        def terms():
+            y = xv
+            while True:
+                y *= 2
+                yield g(y)
 
-        est = mp.log(big_c / (geometric * tol), 2) / b - mp.log(xv, 2) - 1
-        cap = 100_000
-        k = max(1, int(mp.ceil(est)))
-        if k <= cap:
-            while tail(k) >= tol:
-                k += 1
-            while k > 1 and tail(k - 1) < tol:
-                k -= 1
-        if k > cap:
-            raise ConvergenceError(f"g_direct needs {k} terms, over the cap of {cap}")
-        total = mpf(0)
-        y = xv
-        for _ in range(k):
-            y *= 2
-            total += g(y)
-        return wrap(total, ctx)
+        return _ratio_sum(terms(), lambda k, t: g(xv * 2 ** (k + 1)) / t, ctx, "g_direct")
 
 
-def g_expansion(n: int, x, ctx: PrecisionContext) -> BigReal:
+def g_expansion(n: int, x, ctx: PrecisionContext) -> SeriesValue:
     """Residue expansion of the dilate sum F(x) = sum_{k>=1} g_n(2^k x).
 
     F has the transform M(s)/(2^s - 1), with M the closed transform of g_n
@@ -456,12 +446,13 @@ def g_expansion(n: int, x, ctx: PrecisionContext) -> BigReal:
       * s = +-i w_k, w_k = 2 pi k/ln 2: (2/ln 2) Re[M(i w_k) x^{-i w_k}],
         with M at complex s.
 
-    Restricted to 0 < x < 1/2.  The ratio of consecutive power terms stays
-    below x in magnitude, so the remainder after a term t is at most
-    |t| x/(1 - x).  |M(i w_{k+1})/M(i w_k)| <= r = 2 e^{-beta}, with
-    beta = 2 pi^2/ln 2, so the oscillating remainder after a term t is at
-    most |t| r/(1 - r).  Carried from term to term: x^lam, 2^{-lam} and
-    x^{-i w_k} = (x^{-i w_1})^k.
+    Restricted to 0 < x < 1/2.  The power and the oscillating terms are two
+    series, tails and counts summed, each stopped at the first term <=
+    10^(-working digits) times its running sum with ratio bound rho < 1.
+    Power terms: rho = x, above every ratio; x^lam and 2^{-lam} are carried.
+    |M(i w_{k+1})/M(i w_k)| <= r = 2 e^{-beta}, beta = 2 pi^2/ln 2, so the
+    complex terms M(i w_k) x^{-i w_k} take rho = r, and their tail bounds the
+    moduli of the dropped terms, not only their real parts.
     """
     with mp.workdps(ctx.working_digits):
         xv, g, closed, _, _, lam, coef = _dilate_kernel("g_expansion", n, x)
@@ -469,38 +460,30 @@ def g_expansion(n: int, x, ctx: PrecisionContext) -> BigReal:
             raise DomainError(
                 f"g_expansion restricted to x < 1/2 (geometric tail bound), got {mp.nstr(xv, 12)}"
             )
-        tol = mpf(10) ** (-ctx.working_digits)
         ln2 = mp.ln(mpf(2))
-        value = g(mpf(0)) * (-mpf(1) / 2 - mp.ln(xv) / ln2)
-        lam = to_mpf(lam)
-        power, half = xv**lam, mpf(2) ** (-lam)
-        j = 0
-        while True:
-            t = coef(j) * power / (half - 1)
-            value += t
-            if abs(t) * xv / (1 - xv) < tol:
-                break
-            j += 1
-            power *= xv
-            half /= 2
         w = 2 * mp.pi / ln2
         r = 2 * mp.exp(-mp.pi * w)  # beta = pi w_1
         turn = mp.expj(-w * mp.ln(xv))  # x^{-i w_1}
-        phase, osc, k = turn, mpf(0), 1
-        while True:
-            t = 2 * closed(mp.mpc(0, k * w)) * phase / ln2
-            osc += t.real
-            if abs(t) * r / (1 - r) < tol:
-                break
-            k += 1
-            phase *= turn
-        return wrap(value + osc, ctx)
+
+        def powers():
+            power, half = xv ** to_mpf(lam), mpf(2) ** -to_mpf(lam)
+            for j in count():
+                yield coef(j) * power / (half - 1)
+                power, half = power * xv, half / 2
+
+        power = _ratio_sum(powers(), lambda k, t: xv, ctx, "g_expansion")
+        osc = _ratio_sum((2 * closed(mp.mpc(0, k * w)) * turn**k / ln2 for k in count(1)),
+                         lambda k, t: r, ctx, "g_expansion")
+        value = (g(mpf(0)) * (-mpf(1) / 2 - mp.ln(xv) / ln2)
+                 + power.value.value + osc.value.value.real)
+        tail = power.tail_bound.value + osc.tail_bound.value
+        return SeriesValue(wrap(value, ctx), wrap(tail, ctx), power.terms_used + osc.terms_used)
 
 
 def dual_check(n: int, x, ctx: PrecisionContext) -> DualCheck:
     """|g_direct - g_expansion| held to pass_threshold(ctx)."""
-    direct = g_direct(n, x, ctx)
-    expansion = g_expansion(n, x, ctx)
+    direct = g_direct(n, x, ctx).value
+    expansion = g_expansion(n, x, ctx).value
     bound = wrap(pass_threshold(ctx), ctx)
     with mp.workdps(ctx.working_digits):
         err = wrap(abs(direct.value - expansion.value), ctx)

@@ -9,15 +9,20 @@ and the hyperbolic correction series r_n(m) whose chained accumulation pred(n)
 equals u_n - t_n.  By Poisson summation u_n(m) is
 sum_{k in Z} |Gamma(n/2 + i omega_k)|^2 / Gamma(n), omega_k = 2 pi k / ln m:
 its k = 0 term is t_n = Gamma(n/2)^2 / Gamma(n), and the rest is pred(n), one
-Gamma product per k.  The truncated sums u_direct, r_correction and
-predicted_correction return a bound on their truncation tail.  The bound does
-not cover rounding error.
+Gamma product per k.
+
+Every series here and in mellin stops by the one rule of _ratio_sum: at the
+first term t_k at most 10^(-working digits) times the running sum whose
+ratio bound rho_k is below 1, with tail |t_k| rho_k/(1 - rho_k).  u_direct takes
+rho_k = m^{-n/2} (1 + m^{-k})^n, r_correction and predicted_correction
+((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)).  Tails omit rounding error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from mpmath import mp, mpf
 
@@ -47,6 +52,28 @@ class SeriesValue:
     value: BigReal
     tail_bound: BigReal
     terms_used: int
+
+
+def _ratio_sum(terms, ratio, ctx: PrecisionContext, name: str) -> SeriesValue:
+    """Sum t_1, t_2, ... from ``terms`` up to the first t_k with
+    |t_k| <= 10^(-working digits) |t_1 + ... + t_k| and rho = ratio(k, t_k) < 1.
+
+    rho must bound every later |t_{j+1}/t_j|, so the tail |t_k| rho/(1 - rho)
+    bounds the dropped terms (complex ones by modulus).  ratio runs only once
+    the first test passes, while ``terms`` waits after t_k, and may read its
+    state.  Past _MAX_TERMS terms: ConvergenceError.  Runs at the active precision.
+    """
+    tol = mpf(10) ** (-ctx.working_digits)
+    # log2 |x| > mp.mag(x) - 3: a term gap above the sum in mp.mag fails the test
+    gap = mp.mag(tol) + 4
+    partial = mpf(0)
+    for k, t in zip(range(1, _MAX_TERMS + 1), terms):
+        partial += t
+        if mp.mag(t) - mp.mag(partial) < gap and abs(t) <= tol * abs(partial):
+            rho = ratio(k, t)
+            if rho < 1:
+                return SeriesValue(wrap(partial, ctx), wrap(abs(t) * rho / (1 - rho), ctx), k)
+    raise ConvergenceError(f"{name} stalled, over the cap {_MAX_TERMS}")
 
 
 @dataclass(frozen=True)
@@ -96,40 +123,40 @@ def _digit_count(m):
 
 
 def u_direct(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
-    """Bilateral sum via the k <-> -k symmetry: ln(m)*(2^-n + 2*sum_{k>=1}).
+    """Bilateral sum via the k <-> -k symmetry: 2 ln(m) sum_{k>=0} t_k, with
+    t_0 = 2^(-n-1) and t_k = c_k^(-n), c_k = m^{k/2} + m^{-k/2}, stopped at
+    the first t_k <= 10^(-working digits) times the running sum with rho_k < 1.
 
-    Truncation at K uses the geometric comparison
-    (m^{k/2}+m^{-k/2})^{-n} < m^{-nk/2}, giving the tail bound
-    2*ln(m)*m^{-nK/2}/(1 - m^{-n/2}).  A K over _MAX_TERMS raises
-    ConvergenceError before any term is summed.
+    rho_k = m^{-n/2} (1 + m^{-k})^n: t_{j+1}/t_j = m^{-n/2} ((1 + m^{-j})/
+    (1 + m^{-j-1}))^n < rho_j, which falls with j; the true ratio exceeds
+    m^{-n/2}, which alone bounds no tail.  c_{k+1} = c_1 c_k - c_{k-1} carries
+    c_k with no division, at about half a unit of rounding per term.  A K
+    with m^{-nK/2} = 10^(-working digits) t_0 over _MAX_TERMS is refused.
     """
     _check_n(n)
     _check_base(base_m)
     with mp.workdps(ctx.working_digits):
-        tol = mpf(10) ** (-ctx.working_digits)
         lnm = mp.ln(mpf(base_m))
-        rho = mpf(base_m) ** (-mpf(n) / 2)  # per-term geometric ratio bound
-
-        def bound(k):
-            return 2 * lnm * rho**k / (1 - rho)
-
-        # closed-form estimate for K, then bump past rounding in the estimate
-        est = (mp.ln(2 * lnm / (tol * (1 - rho)))) / ((mpf(n) / 2) * lnm)
-        K = max(1, int(mp.ceil(est)))
-        while bound(K) >= tol:
-            K += 1
+        K = int(mp.ceil(((n + 1) * mp.ln2 + ctx.working_digits * mp.ln10) / (n * lnm / 2)))
         if K > _MAX_TERMS:
             raise ConvergenceError(
                 f"u_direct needs K = {K} terms at n={n}, m={base_m}, over the cap {_MAX_TERMS}")
 
         sqrt_m = mp.sqrt(mpf(base_m))
-        p = mpf(1)  # m^{k/2}
-        acc = mpf(0)
-        for _ in range(K):
-            p *= sqrt_m
-            acc += (p + 1 / p) ** (-n)
-        value = lnm * (mpf(2) ** (-n) + 2 * acc)
-        return SeriesValue(wrap(value, ctx), wrap(bound(K), ctx), K + 1)
+        c1 = sqrt_m + 1 / sqrt_m
+
+        def terms():
+            yield mpf(2) ** (-n - 1)
+            prev, c = mpf(2), c1
+            while True:
+                yield c**-n
+                prev, c = c, c1 * c - prev
+
+        # the k-th term of the stream is t_{k-1}
+        total = _ratio_sum(terms(), lambda k, t: ((1 + mpf(base_m) ** (1 - k)) / sqrt_m) ** n,
+                           ctx, "u_direct")
+        return SeriesValue(wrap(2 * lnm * total.value.value, ctx),
+                           wrap(2 * lnm * total.tail_bound.value, ctx), total.terms_used)
 
 
 def target(n: int) -> ExactTarget:
@@ -191,7 +218,7 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
 
     over the offsets d = ((j-2)/2)^2, j = n, n-2, ... >= 3, for pred(n), and
     over those of pred(n-2) and d = 0 for r_n: floor((n-1)/2) offsets either
-    way (r_1 = pred(1), r_2 = pred(2)).  The stopping rule and tail bound are
+    way (r_1 = pred(1), r_2 = pred(2)).  The ratio bound and tail are
     r_correction's; the product is a polynomial of degree n - 1 in k with
     coefficients >= 0.
 
@@ -209,7 +236,6 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
         raise DomainError(f"n = {n} is over the cap {_MAX_N} of {name}")
     even = n % 2 == 0
     with mp.workdps(ctx.working_digits):
-        tol = mpf(10) ** (-ctx.working_digits)
         lnm = mp.ln(mpf(base_m))
         beta = 2 * mp.pi**2 / lnm
         q = mp.exp(-beta)
@@ -238,32 +264,25 @@ def _correction_series(n: int, base_m: int, ctx: PrecisionContext, chain: bool) 
             raise ConvergenceError(
                 f"{name} needs over {int(k_min)} terms at {at}, over the cap {_MAX_TERMS}")
 
-        partial = mpf(0)
-        prev = None
-        qk = mpf(1)
-        k = 0
-        while True:
-            k += 1
-            if k > _MAX_TERMS:
-                raise ConvergenceError(f"{name} stalled at {at}, over the cap {_MAX_TERMS}")
-            qk *= q
-            w = c2 * (k * k)
-            s, e = s0, -e0  # the product is s 2^e
-            for d in offsets:
-                s *= d + w
-                x = s.bit_length() - bits
-                s >>= x
-                e += x - bits
-            q2k = qk * qk
-            s = scale * mpf((s, e))
-            t = s * k * qk / (1 - q2k) if even else s * qk / (1 + q2k)
-            partial += t
-            if prev is not None and t < prev and t < tol * partial:
-                rho = (mpf(k + 1) / k) ** (n - 1) * q * (1 + q2k)
-                if rho < 1:
-                    break
-            prev = t
-        return SeriesValue(wrap(partial, ctx), wrap(t * rho / (1 - rho), ctx), k)
+        qk = mpf(1)  # q^k of the last term, read by the ratio bound
+
+        def terms():
+            nonlocal qk
+            for k in count(1):
+                qk *= q
+                w = c2 * (k * k)
+                s, e = s0, -e0  # the product is s 2^e
+                for d in offsets:
+                    s *= d + w
+                    x = s.bit_length() - bits
+                    s >>= x
+                    e += x - bits
+                q2k = qk * qk
+                s = scale * mpf((s, e))
+                yield s * k * qk / (1 - q2k) if even else s * qk / (1 + q2k)
+
+        return _ratio_sum(terms(), lambda k, t: (mpf(k + 1) / k) ** (n - 1) * q * (1 + qk * qk),
+                          ctx, f"{name} at {at}")
 
 
 def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
@@ -273,14 +292,12 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     n = 2l:       (2 pi/(ln m (n-1))) * sum_k c_k * 2 k pi / sinh(2 k pi^2 / ln m)
     n = 2l+1 >= 3:(2 pi/(ln m (n-1))) * sum_k b_k * 2 k pi / cosh(2 k pi^2 / ln m)
 
-    Terms are positive: a polynomial of degree n - 1 in k times
-    1/cosh(k beta) or 1/sinh(k beta), beta = 2 pi^2 / ln m.  For large n the
-    polynomial factor makes them grow before decaying, so the stopping rule
-    requires the term both below 10^(-working_digits) * partial and
-    decreasing.  From the last term k on, each ratio of consecutive terms is
-    at most rho = ((k+1)/k)^(n-1) e^(-beta) (1 + e^(-2 k beta)), which falls
-    with k; summing goes on until rho < 1, and the tail is reported as the
-    last term times rho/(1 - rho), a bound on the truncation for every base.
+    Terms are positive: a polynomial of degree n - 1 in k times 1/cosh(k beta)
+    or 1/sinh(k beta), beta = 2 pi^2 / ln m; for large n they grow before
+    decaying.  From term j to j + 1 the polynomial grows by at most
+    ((j+1)/j)^(n-1) and 1/cosh or 1/sinh by at most e^(-beta) (1 + e^(-2 j beta));
+    both fall with j, so _ratio_sum's rho_k = ((k+1)/k)^(n-1) e^(-beta)
+    (1 + e^(-2 k beta)) bounds every later ratio, the tail every truncation.
 
     The k-th term (n >= 3) is 2 w |Gamma(n/2 - 1 + i omega_k)|^2 / (n-1)!,
     omega_k = 2 pi k / ln m, w = omega_k^2: one integer product of d + w over

@@ -469,7 +469,7 @@ class TestErrorRows:
         assert rows[:4] + rows[5:] == clean[:4] + clean[5:]
 
     def test_scan_term_cap_fails_only_low_n(self, runner, monkeypatch):
-        # at 25 digits u_n(2) needs 272, 136, 91, 68, 55 and 46 terms for n = 1..6
+        # at 25 digits u_n(2) needs 265, 135, 91, 69, 56 and 48 terms for n = 1..6
         import almostid.series as series_mod
 
         args = ["scan", "--n", "1..6", "--digits", "25", "--format", "json"]

@@ -26,6 +26,7 @@ from almostid import (
     pass_threshold,
 )
 import almostid.mellin as mellin_mod
+import almostid.series as series_mod
 from almostid.mellin import _dilate_nodes, _fn, _g1, _g2, _refine_trapezoid
 
 
@@ -308,7 +309,7 @@ class TestDualRoutes:
     def test_direct_small_at_large_x(self, ctx30):
         # sum_k 1/(1 + 2^k x) < 1/x at x = 10^6
         v = g_direct(2, 10**6, ctx30)
-        assert 0 < v.value < mpf(2) / 10**6
+        assert 0 < v.value.value < mpf(2) / 10**6
 
     @pytest.mark.parametrize("n,x,digits", [(1, "0.45", 30), (2, "0.3", 30), (1, "1e-30", 30),
                                             (2, "0.4999", 30), (1, "0.45", 200), (2, "0.1", 200)],
@@ -323,19 +324,100 @@ class TestDualRoutes:
     @pytest.mark.parametrize("n,x,digits", [(1, "0.1", 200), (1, "1e-30", 30), (1, "1e8", 30),
                                             (2, "0.45", 200), (2, "1e-30", 30), (2, "1e50", 30)])
     def test_direct_stops_at_first_k_under_tol(self, n, x, digits):
-        # reference: the plain loop that evaluates the tail bound after every term
+        # reference: the plain loop that tests every term g(y), y = 2^k x,
+        # against the running sum, then its ratio bound rho = g(2y)/g(y)
         ctx = PrecisionContext(digits=digits)
         got = g_direct(n, x, ctx)
+        g = _g1 if n == 1 else _g2
         with mp.workdps(ctx.working_digits):
             tol = mpf(10) ** (-ctx.working_digits)
+            total, y, k = mpf(0), mpf(x), 0
+            while True:
+                y *= 2
+                k += 1
+                t = g(y)
+                total += t
+                if t <= tol * total and g(2 * y) / t < 1:
+                    break
+            rho = g(2 * y) / t
+            assert (got.value.value, got.tail_bound.value, got.terms_used) == (
+                total, t * rho / (1 - rho), k)
+
+    @pytest.mark.parametrize("n,x", [(2, "1e50"), (1, "1e50"), (2, "1e20")])
+    def test_direct_relative_at_large_x(self, n, x, ctx30):
+        # every term is below 10^-(working digits) at x = 1e50, so a stop
+        # rule absolute in it would end after one term, half the sum at
+        # (2, 1e50); against a plain sum at +40 digits
+        got = g_direct(n, x, ctx30)
+        with mp.workdps(ctx30.working_digits + 40):
             total, y = mpf(0), mpf(x)
             while True:
                 y *= 2
-                total += (_g1 if n == 1 else _g2)(y)
-                tail = 2 / mp.sqrt(2 * y) / (1 - 1 / mp.sqrt(mpf(2))) if n == 1 else 1 / y
-                if tail < tol:
+                t = 2 * mp.atan(1 / mp.sqrt(y)) if n == 1 else 1 / (1 + y)
+                total += t
+                if t < mpf(10) ** -(ctx30.working_digits + 40) * total:
                     break
-            assert got.value == total
+            assert abs(got.value.value - total) <= mpf(10) ** (-ctx30.digits) * total
+
+    @pytest.mark.parametrize("n,x", [(1, "1e-30"), (1, "0.45"), (1, "1e50"), (2, "0.1"),
+                                     (2, "1e50")])
+    def test_direct_tail_bound_covers_truncation(self, n, x, ctx30):
+        # the terms past terms_used, up to where a +40-digit run stops,
+        # summed at +40 digits, must sum to at most the reported tail bound
+        got = g_direct(n, x, ctx30)
+        fine = PrecisionContext(digits=ctx30.digits + 40)
+        stop = g_direct(n, x, fine).terms_used
+        with mp.workdps(fine.working_digits):
+            ys = [mp.ldexp(mpf(x), k) for k in range(got.terms_used + 1, stop + 1)]
+            dropped = sum(2 * mp.atan(1 / mp.sqrt(y)) if n == 1 else 1 / (1 + y) for y in ys)
+            assert 0 < dropped <= got.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+
+    @pytest.mark.parametrize("n,x", [(1, "0.45"), (1, "1e-30"), (2, "0.3"), (2, "0.1")])
+    def test_expansion_tails_cover_truncation(self, n, x, ctx30, monkeypatch):
+        # each sub-series of g_expansion, rebuilt term by term at +40 digits
+        # from the docstring formulas past where it stopped and up to where a
+        # +40-digit run stops: the moduli of the dropped terms sum to at most
+        # that series' tail, and the value reports the sums of both
+        runs = []
+
+        def spy(*args):
+            runs.append(series_mod._ratio_sum(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(mellin_mod, "_ratio_sum", spy)
+        fine = PrecisionContext(digits=ctx30.digits + 40)
+        got = g_expansion(n, x, ctx30)
+        g_expansion(n, x, fine)
+        (power, osc), fine_runs = runs[:2], runs[2:]
+        assert got.terms_used == power.terms_used + osc.terms_used
+        with mp.workdps(ctx30.working_digits):
+            assert got.tail_bound.value == power.tail_bound.value + osc.tail_bound.value
+        with mp.workdps(fine.working_digits):
+            xv, ln2 = mpf(x), mp.ln(2)
+
+            def power_term(j):  # a(j) x^lam / (2^-lam - 1), lam = j + 1/2 or j + 1
+                if n == 1:
+                    lam = j + mpf(1) / 2
+                    return -2 * (-1) ** j / mpf(2 * j + 1) * xv**lam / (mpf(2) ** -lam - 1)
+                return (-1) ** (j + 1) * xv ** (j + 1) / (mpf(2) ** -(j + 1) - 1)
+
+            def osc_term(k):  # (2/ln 2) M(i w_k) x^(-i w_k)
+                s = mp.mpc(0, 2 * mp.pi * k / ln2)
+                m = mp.pi / (s * mp.cos(mp.pi * s)) if n == 1 else mp.pi / mp.sin(mp.pi * s)
+                return 2 * m * xv ** (-s) / ln2
+
+            # the i-th power term is j = i - 1, the i-th oscillating one k = i
+            for run, fine_run, term in ((power, fine_runs[0], lambda i: power_term(i - 1)),
+                                        (osc, fine_runs[1], osc_term)):
+                ks = range(run.terms_used + 1, fine_run.terms_used + 1)
+                dropped = sum(abs(term(i)) for i in ks)
+                assert 0 < dropped <= run.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+
+    def test_expansion_stall_guard(self, ctx30, monkeypatch):
+        # the power terms at x = 0.3 need ~90 terms
+        monkeypatch.setattr(series_mod, "_MAX_TERMS", 20)
+        with pytest.raises(ConvergenceError, match="g_expansion stalled"):
+            g_expansion(1, "0.3", ctx30)
 
     def test_direct_term_cap_refused_up_front(self, ctx30):
         # ~1.3e5 terms needed, over the cap of 1e5: refused without summing
@@ -350,7 +432,7 @@ class TestDualRoutes:
         lo = route(1, x, PrecisionContext(digits=25))
         hi = route(1, x, PrecisionContext(digits=40))
         with mp.workdps(70):
-            assert abs(lo.value - hi.value) < mpf(10) ** (-25) * abs(hi.value)
+            assert abs(lo.value.value - hi.value.value) < mpf(10) ** (-25) * abs(hi.value.value)
 
     def test_expansion_domain(self, ctx30):
         with pytest.raises(DomainError):

@@ -139,6 +139,21 @@ class TestUDirect:
                     coarse.tail_bound.value + mpf(10) ** (-44)
                 )
 
+    @pytest.mark.parametrize("n,m", [(1, 2), (30, 2), (100, 2), (1, 9), (30, 9), (1, 10**13)])
+    def test_tail_bound_covers_truncation(self, n, m, ctx30):
+        # As for r_correction: the terms past terms_used, up to where a
+        # +40-digit run stops, summed from the definition at +40 digits,
+        # must sum to at most the reported tail bound.  terms_used counts
+        # k = 0, 1, ..., so the first dropped k is terms_used.
+        u = u_direct(n, m, ctx30)
+        fine = PrecisionContext(digits=ctx30.digits + 40)
+        stop = u_direct(n, m, fine).terms_used
+        with mp.workdps(fine.working_digits):
+            dropped = 2 * mp.ln(m) * sum(
+                (mpf(m) ** (mpf(k) / 2) + mpf(m) ** (-mpf(k) / 2)) ** -n
+                for k in range(u.terms_used, stop))
+            assert 0 < dropped <= u.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+
     def test_terms_used_positive_and_scales_down_with_n(self, ctx30):
         few = u_direct(20, 2, ctx30)
         many = u_direct(1, 2, ctx30)
