@@ -22,11 +22,9 @@ from .mellin import (
     FUNCTION_GRID,
     LemmaCheck,
     MellinCheck,
-    antiderivative_check,
     dual_check,
     g_direct,
     g_expansion,
-    harmonic_check,
     harmonic_factor_check,
     lemma_check,
     mellin_check,
@@ -76,7 +74,6 @@ __all__ = [
     "MellinCheck",
     "PrecisionContext",
     "SeriesValue",
-    "antiderivative_check",
     "borwein_sum",
     "check_recurrence",
     "coeff_b",
@@ -86,7 +83,6 @@ __all__ = [
     "elem",
     "g_direct",
     "g_expansion",
-    "harmonic_check",
     "harmonic_factor_check",
     "hickerson",
     "lemma_check",

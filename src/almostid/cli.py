@@ -9,11 +9,14 @@ Usage examples:
     almostid lemma --n 3..6 --k 0..2 --u 0,2.5 --digits 30
     almostid gallery --item ramanujan163 --digits 50
 
-Exit status: 0 when every per-item check passed, 1 on any verification
-failure, 2 on usage or domain errors.  In _rows, the one cell -> row loop, a
-cell that does not converge, and in scan also one outside the domain, gets its
-own error row.  All numerics print as decimal strings; repeated runs with the
-same configuration emit byte-identical reports.
+Each row renders the record one library check returns (verify_identity,
+mellin_check, harmonic_factor_check, dual_check, lemma_check or a gallery
+entry), and the record's ``passed`` is the row's verdict.  Exit status: 0 when
+every per-item check passed, 1 on any verification failure, 2 on usage or
+domain errors.  In _rows, the one cell -> row loop, a cell that does not
+converge, and in scan also one outside the domain, gets its own error row.
+All numerics print as decimal strings; repeated runs with the same
+configuration emit byte-identical reports.
 """
 
 from __future__ import annotations
@@ -80,13 +83,16 @@ def _parse_decimal(text: str, what: str):
 
 
 def _identity_context(command: str, digits: int, residual_tol):
-    """Context and parsed --residual-tol gate (None when absent) for verify/scan."""
+    """Context and parsed --residual-tol gate (None when absent) for verify/scan;
+    a gate <= 0, which only an exact zero residual could meet, is refused."""
     if digits < 20:
         raise DomainError(f"{command} needs digits >= 20 to resolve the deltas, got {digits}")
     ctx = PrecisionContext(digits=digits)
     with mp.workdps(ctx.working_digits):
         gate = (None if residual_tol is None
                 else _parse_decimal(residual_tol, "residual tolerance"))
+    if gate is not None and gate <= 0:
+        raise DomainError(f"residual tolerance must be positive, got {residual_tol!r}")
     return ctx, gate
 
 
@@ -212,7 +218,8 @@ def mellin(functions_text, s_text, harmonic, digits, fmt, out_path):
         s_texts = parse_str_list(s_text)
         ctx = PrecisionContext(digits=digits)
         s_of = {text: _parse_s(text) for text in s_texts}
-        check = {"transform": mellin_mod.mellin_check, "harmonic": mellin_mod.harmonic_check}
+        check = {"transform": mellin_mod.mellin_check,
+                 "harmonic": mellin_mod.harmonic_factor_check}
         cells = [("transform", fid, text) for fid in functions for text in s_texts]
         if harmonic:
             cells += [("harmonic", fid, text) for fid in functions for text in s_texts]
@@ -255,7 +262,7 @@ def lemma(n_text, k_text, u_text, h_text, digits, fmt, out_path):
             h = None if h_text is None else _parse_decimal(h_text, "step h")
         columns = report_mod.LEMMA_COLUMNS
         rows = _rows(columns, ("n", "k", "u"), cells, lambda cell: report_mod.lemma_row(
-            mellin_mod.antiderivative_check(*cell, ctx, h=h)))
+            mellin_mod.lemma_check(*cell, ctx, h=h)))
         _emit(columns, rows, fmt, out_path)
 
 

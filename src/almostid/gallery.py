@@ -13,7 +13,7 @@ from typing import Union
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
-from .precision import GUARD_DIGITS, BigReal, PrecisionContext, within, wrap
+from .precision import GUARD_DIGITS, BigReal, PrecisionContext, require_int, within, wrap
 
 _RAMANUJAN_D = (37, 58, 163)
 _BORWEIN_DIGIT_CAP = 2000
@@ -157,8 +157,7 @@ def ordered_bell(n: int) -> int:
     a(0) = 1, a(n) = sum_{k=1}^{n} C(n,k) a(n-k): pure integer arithmetic,
     independent of any floating evaluation.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"ordered_bell needs an integer n >= 0, got {n!r}")
+    require_int(n, "ordered_bell n", 0)
     a = [1]
     for m in range(1, n + 1):
         a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
@@ -180,7 +179,7 @@ def hickerson(n: int, ctx: PrecisionContext) -> GalleryEntry:
     come out wrong (at n = 16 and 1 digit it reads -1.0, not -0.487), so
     such a cell is a DomainError; every n is accepted at 10 digits and more.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _HICKERSON_MAX:
+    if require_int(n, "hickerson n", 1) > _HICKERSON_MAX:
         raise DomainError(f"hickerson supports 1 <= n <= {_HICKERSON_MAX}, got {n!r}")
     reference = ordered_bell(n)
     need = len(str(reference)) + 5 - GUARD_DIGITS

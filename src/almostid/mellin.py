@@ -42,7 +42,7 @@ from itertools import count
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
-from .precision import BigReal, PrecisionContext, to_mpf, within, wrap
+from .precision import BigReal, PrecisionContext, require_int, to_mpf, within, wrap
 from .series import SeriesValue, _ratio_sum, recurrence_factor
 
 FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
@@ -53,15 +53,17 @@ _FN_RE = re.compile(r"^fn(\d+)$")
 # steps of that size the rate-bound span in t may take
 _STEP = mpf("0.5")
 _MAX_NODES = 10**5
+# halvings _refine_trapezoid makes past its first level before giving up
+_MAX_LEVELS = 14
 # factor by which _refine_trapezoid inflates its digit-doubling error estimate
 _DOUBLING_SAFETY = 10**3
 
 
 @dataclass(frozen=True)
 class MellinCheck:
-    """A "transform" (mellin_check) or "harmonic" (harmonic_check) check of
-    function_id at s, ``passed`` = within(abs_err, bound); harmonic has no
-    numeric or closed value."""
+    """What mellin_check ("transform") or harmonic_factor_check ("harmonic")
+    returns at function_id and s, ``passed`` = within(abs_err, bound); a
+    harmonic record has no numeric or closed value."""
 
     kind: str
     function_id: str
@@ -88,8 +90,8 @@ class DualCheck:
 
 @dataclass(frozen=True)
 class LemmaCheck:
-    """lemma_check at (n, k, u) with step h, ``passed`` = within(residual,
-    bound), bound = 10 h^2; u is kept as given, as a report shows it."""
+    """What lemma_check returns at (n, k, u) with step h: ``passed`` =
+    within(residual, bound), bound = 10 h^2; u is kept as a report shows it."""
 
     n: int
     k: int
@@ -178,7 +180,7 @@ def _check_strip(function_id, s):
     return kernel
 
 
-def _refine_trapezoid(values, n, h, tol, max_levels=14):
+def _refine_trapezoid(values, n, h, tol):
     """Trapezoid rule with step halving until the newest estimate is within tol.
 
     ``values(n, h, indices)`` yields the integrand, in whatever variable the
@@ -195,7 +197,8 @@ def _refine_trapezoid(values, n, h, tol, max_levels=14):
     (the digit-doubling estimate of Bailey, Jeyabalan and Li, Exp. Math.
     2005).  A level is accepted when d_k < tol, or when
     _DOUBLING_SAFETY * d_k^2 / d_{k-1} < tol; the second rule saves the
-    last, confirming halving, which holds half of all nodes.
+    last, confirming halving, which holds half of all nodes.  Past
+    _MAX_LEVELS halvings it raises ConvergenceError.
     """
 
     def level_sum(indices, ends):
@@ -207,7 +210,7 @@ def _refine_trapezoid(values, n, h, tol, max_levels=14):
     acc = level_sum(range(n + 1), (0, n))
     estimate = acc * h
     prev = None
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         n *= 2
         h /= 2
         acc += level_sum(range(1, n, 2), ())
@@ -345,8 +348,9 @@ def _dilate_nodes(g, s, h, top, bottom, stride, period):
         yield j, x, value, w
 
 
-def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal:
-    """|quadrature of the dilate sum  -  closed form/(2^s - 1)|.
+def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
+    """|quadrature of the dilate sum  -  closed form/(2^s - 1)| held to
+    pass_threshold(ctx), a "harmonic" MellinCheck.
 
     The grid on t = ln x has step ln2/2, ln2/4, ... and ends on whole
     multiples of ln2/2, so each node's F is g(2x) plus the F of the node ln 2
@@ -376,12 +380,7 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> BigReal
 
         quad = _refine_trapezoid(values, hi - lo, h0, tol)
         closed = mellin_closed(function_id, s, ctx).value / (mpf(2) ** sv - 1)
-        return wrap(abs(quad - closed), ctx)
-
-
-def harmonic_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
-    """harmonic_factor_check held to pass_threshold(ctx), a "harmonic" MellinCheck."""
-    err = harmonic_factor_check(function_id, s, ctx)
+        err = wrap(abs(quad - closed), ctx)
     return _mellin_record("harmonic", function_id, s, None, None, err, ctx)
 
 
@@ -396,7 +395,7 @@ _DILATE = {
 def _dilate_kernel(route, n, x):
     """x as mpf, then g, closed and b of g_n's _kernel, then C, lam and a of
     _DILATE, once n is the int 1 or 2 and x > 0."""
-    if not isinstance(n, int) or isinstance(n, bool) or n not in _DILATE:
+    if require_int(n, f"{route} n") not in _DILATE:
         raise DomainError(f"{route} supports n = 1 or 2, got {n!r}")
     xv = to_mpf(x)
     if xv <= 0:
@@ -497,23 +496,24 @@ def lemma_step(ctx: PrecisionContext):
         return mpf(10) ** (-mpf(ctx.digits) / 3)
 
 
-def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
-    """Residual of the antiderivative identity behind the recurrence.
+def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> LemmaCheck:
+    """The antiderivative identity behind the recurrence, held to 10 h^2.
 
     With x = 2^{k-u} and p = sqrt(x)/(1+x), phi_j(u) = p^j and
     R(u) = _fn(n, x)/(2 ln2 (n-1)) = p^{n-2} (1-x)/(1+x)/(2 ln2 (n-1));
-    returns |phi_n(u) - (n-2)/(4(n-1)) phi_{n-2}(u) - dR/du| with
+    the residual is |phi_n(u) - (n-2)/(4(n-1)) phi_{n-2}(u) - dR/du| with
     dR/du a central difference of step h (default lemma_step(ctx)); the exact
     identity makes the residual pure finite-difference error, O(h^2).
 
     ``h`` is overridable so the h^2 scaling itself can be observed.  An
     n |k - u| over 10^100, where every term is below 2^(-10^99), is a
-    DomainError up front: past ~10^4300 Python cannot print the residual's exponent.
+    DomainError up front: past ~10^4300 Python cannot print the residual's
+    exponent.  Every term is about p^{n-2}, so a cell where p^{n-2} is below
+    10 h^2 would pass whatever the residual: once the residual is computed,
+    it is a DomainError instead of a record.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise DomainError(f"lemma check requires integer n >= 3, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"k must be an integer, got {k!r}")
+    require_int(n, "lemma check n", 3)
+    require_int(k, "k")
     with mp.workdps(ctx.working_digits):
         uv = to_mpf(u)
         span = n * abs(k - uv)
@@ -531,22 +531,9 @@ def lemma_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> BigReal:
         x = mpf(2) ** (k - uv)
         p = mp.sqrt(x) / (1 + x)
         a = to_mpf(recurrence_factor(n))
-        return wrap(abs(p**n - a * p ** (n - 2) - drdu), ctx)
-
-
-def antiderivative_check(n: int, k: int, u, ctx: PrecisionContext, h=None) -> LemmaCheck:
-    """lemma_check's residual held to 10 h^2, h as in lemma_check.
-
-    Every term of the identity is about p^{n-2} (p as in lemma_check), so a
-    cell where p^{n-2} is below 10 h^2 would pass whatever the residual: once
-    lemma_check has accepted the cell, it is a DomainError instead of a row.
-    """
-    with mp.workdps(ctx.working_digits):
-        hv = lemma_step(ctx) if h is None else to_mpf(h)
+        residual = wrap(abs(p**n - a * p ** (n - 2) - drdu), ctx)
         bound = wrap(10 * hv**2, ctx)
-        residual = lemma_check(n, k, u, ctx, h=hv)
-        x = mpf(2) ** (k - to_mpf(u))
-        size = (mp.sqrt(x) / (1 + x)) ** (n - 2)
+        size = p ** (n - 2)
         if size < bound.value:
             raise DomainError(f"lemma cell n={n}, k={k}, u={u} checks nothing: its terms, "
                               f"about p^(n-2) = {mp.nstr(size, 3)}, are below the bound "

@@ -21,6 +21,16 @@ _ELEM_FNS = ("exp", "ln", "sqrt", "sin", "cos", "sinh", "cosh", "arctan")
 GUARD_DIGITS = 15
 
 
+def require_int(value, what: str, minimum: int | None = None) -> int:
+    """value, once it is an int that is not a bool and, given a minimum, at
+    least that minimum; anything else is a DomainError naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+            minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{what} must be an integer{at_least}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Requested decimal digits plus GUARD_DIGITS of working precision.
@@ -32,8 +42,7 @@ class PrecisionContext:
     digits: int
 
     def __post_init__(self):
-        if not isinstance(self.digits, int) or isinstance(self.digits, bool) or self.digits < 1:
-            raise DomainError(f"digits must be a positive integer, got {self.digits!r}")
+        require_int(self.digits, "digits", 1)
 
     @property
     def working_digits(self) -> int:

@@ -33,6 +33,7 @@ from .precision import (
     ExactTarget,
     PrecisionContext,
     rational,
+    require_int,
     to_mpf,
     within,
     wrap,
@@ -102,17 +103,9 @@ class IdentityReport:
 
 
 def _check_n(n, minimum=1):
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n == 0:
+    if require_int(n, "n") == 0:
         raise DomainError("n = 0 diverges: every bilateral term equals ln(m)")
-    if n < minimum:
-        raise DomainError(f"n must be >= {minimum}, got {n}")
-
-
-def _check_base(base_m):
-    if not isinstance(base_m, int) or isinstance(base_m, bool) or base_m < 2:
-        raise DomainError(f"base must be an integer >= 2, got {base_m!r}")
+    require_int(n, "n", minimum)
 
 
 def _digit_count(m):
@@ -134,7 +127,7 @@ def u_direct(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     with m^{-nK/2} = 10^(-working digits) t_0 over _MAX_TERMS is refused.
     """
     _check_n(n)
-    _check_base(base_m)
+    require_int(base_m, "base", 2)
     with mp.workdps(ctx.working_digits):
         lnm = mp.ln(mpf(base_m))
         K = int(mp.ceil(((n + 1) * mp.ln2 + ctx.working_digits * mp.ln10) / (n * lnm / 2)))
@@ -170,18 +163,12 @@ def target(n: int) -> ExactTarget:
     return ExactTarget(q=q, has_pi=(n % 2 == 1))
 
 
-def _check_lk(l, k):
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise DomainError(f"l must be an integer >= 1, got {l!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-
-
 def coeff_c(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
     """Even-index coefficient prod_{j=0}^{l-2} (j^2 + w) / (2l-2)!, with
     w = (2 pi k / ln m)^2; l = 1 is the empty product, c_k = 1."""
-    _check_lk(l, k)
-    _check_base(base_m)
+    require_int(l, "l", 1)
+    require_int(k, "k", 1)
+    require_int(base_m, "base", 2)
     with mp.workdps(ctx.working_digits):
         w = (2 * k * mp.pi / mp.ln(mpf(base_m))) ** 2
         prod = mpf(1)
@@ -193,8 +180,9 @@ def coeff_c(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
 def coeff_b(l: int, k: int, base_m: int, ctx: PrecisionContext) -> BigReal:
     """Odd-index coefficient 2 pi k prod_{j=0}^{l-2} ((j+1/2)^2 + w) / (ln(m) (2l-1)!),
     with w = (2 pi k / ln m)^2; l = 1 is the empty product, b_k = 2 pi k / ln(m)."""
-    _check_lk(l, k)
-    _check_base(base_m)
+    require_int(l, "l", 1)
+    require_int(k, "k", 1)
+    require_int(base_m, "base", 2)
     with mp.workdps(ctx.working_digits):
         lnm = mp.ln(mpf(base_m))
         w = (2 * k * mp.pi / lnm) ** 2
@@ -306,7 +294,7 @@ def r_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesValue:
     An n over _MAX_N is a DomainError, raised before any term is summed.
     """
     _check_n(n)
-    _check_base(base_m)
+    require_int(base_m, "base", 2)
     return _correction_series(n, base_m, ctx, chain=False)
 
 
@@ -332,7 +320,7 @@ def predicted_correction(n: int, base_m: int, ctx: PrecisionContext) -> SeriesVa
     An n over _MAX_N is a DomainError, raised before any term is summed.
     """
     _check_n(n)
-    _check_base(base_m)
+    require_int(base_m, "base", 2)
     return _correction_series(n, base_m, ctx, chain=True)
 
 
@@ -369,7 +357,7 @@ def check_recurrence(n: int, base_m: int, ctx: PrecisionContext) -> BigReal:
     three formulas actually agree, so its magnitude sits under the ctx-level
     bounds whenever they do."""
     _check_n(n, minimum=3)
-    _check_base(base_m)
+    require_int(base_m, "base", 2)
     fine = PrecisionContext(digits=ctx.digits + 40)
     un = u_direct(n, base_m, fine)
     un2 = u_direct(n - 2, base_m, fine)

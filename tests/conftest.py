@@ -3,6 +3,10 @@ from mpmath import mp, mpf
 
 from almostid import PrecisionContext
 
+# a bool, a whole float and a numeric str: every integer parameter of the
+# public API refuses each of them with DomainError
+NOT_INTS = (True, 2.0, "3")
+
 
 @pytest.fixture
 def ctx30():

@@ -95,6 +95,17 @@ class TestVerifyCommand:
                    "--residual-tol", "abc"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--n", "4", "--residual-tol", "-1"],
+        ["verify", "--n", "4", "--residual-tol", "-0"],
+        ["scan", "--n", "1..2", "--residual-tol", "-1e-30"],
+    ])
+    def test_rejects_negative_residual_tol(self, runner, args):
+        # only an exact zero residual could meet a gate <= 0: the run could only exit 1
+        result = runner.invoke(main, args + ["--digits", "20"])
+        assert result.exit_code == 2
+        assert f"got {args[-1]!r}" in result.output
+
     def test_missing_n(self, runner):
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 2

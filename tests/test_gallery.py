@@ -19,7 +19,7 @@ from almostid import (
     ramanujan_constant,
 )
 import almostid.gallery as gallery_mod
-from conftest import leading_digits
+from conftest import NOT_INTS, leading_digits
 
 # Published nearest integers and the leading three digits of each gap.
 RAMANUJAN_TABLE = {
@@ -162,8 +162,9 @@ class TestOrderedBell:
     def test_domain(self):
         with pytest.raises(DomainError):
             ordered_bell(-1)
-        with pytest.raises(DomainError):
-            ordered_bell(2.5)
+        for n in (2.5, *NOT_INTS):
+            with pytest.raises(DomainError):
+                ordered_bell(n)
 
 
 class TestHickerson:
@@ -199,7 +200,7 @@ class TestHickerson:
             gap = v - FUBINI_17
             assert mpf("-0.55") < gap < mpf("-0.54")
 
-    @pytest.mark.parametrize("n", [0, 18, -1, 2.5])
+    @pytest.mark.parametrize("n", [0, 18, -1, 2.5, *NOT_INTS])
     def test_domain(self, n, ctx50):
         with pytest.raises(DomainError):
             hickerson(n, ctx50)

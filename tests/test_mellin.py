@@ -28,6 +28,7 @@ from almostid import (
 import almostid.mellin as mellin_mod
 import almostid.series as series_mod
 from almostid.mellin import _dilate_nodes, _fn, _g1, _g2, _refine_trapezoid
+from conftest import NOT_INTS
 
 
 class TestParseFunctionId:
@@ -189,12 +190,13 @@ class TestRefineTrapezoid:
                                         mpf(1) / 2, mpf(10) ** (-30))
                 assert abs(got - mp.pi) < mpf(10) ** (-28)
 
-    def test_level_cap_raises(self):
+    def test_level_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mellin_mod, "_MAX_LEVELS", 1)
         with mp.workdps(45):
             with pytest.raises(ConvergenceError):
                 _refine_trapezoid(
                     _trapezoid_values(lambda t: 1 / (1 + t**2), mpf(-10)), 40,
-                    mpf(1) / 2, mpf(10) ** (-40), max_levels=1,
+                    mpf(1) / 2, mpf(10) ** (-40),
                 )
 
 
@@ -287,7 +289,7 @@ class TestHarmonicFactor:
         ("fn3", "1/8", 30), ("fn4", "1/4", 30), ("fn7", "3/8", 30),
     ])
     def test_matches_closed_form(self, fid, s, digits):
-        err = harmonic_factor_check(fid, Fraction(s), PrecisionContext(digits=digits))
+        err = harmonic_factor_check(fid, Fraction(s), PrecisionContext(digits=digits)).abs_err
         with mp.workdps(2 * digits):
             assert err.value < mpf(10) ** (-(digits + 10))
 
@@ -443,7 +445,7 @@ class TestDualRoutes:
             g_expansion(1, 0, ctx30)
         with pytest.raises(DomainError):
             g_expansion(3, "0.1", ctx30)
-        for n in (True, 1.0, 2.0):
+        for n in (1.0, *NOT_INTS):
             with pytest.raises(DomainError):
                 g_expansion(n, "0.3", ctx30)
 
@@ -452,11 +454,11 @@ class TestDualRoutes:
             g_direct(3, "0.1", ctx30)
         with pytest.raises(DomainError):
             g_direct(1, -2, ctx30)
-        for n in (True, 1.0, 2.0):
+        for n in (1.0, *NOT_INTS):
             with pytest.raises(DomainError):
                 g_direct(n, "0.3", ctx30)
-        with pytest.raises(DomainError):
-            dual_check(True, "0.3", ctx30)
+            with pytest.raises(DomainError):
+                dual_check(n, "0.3", ctx30)
 
 
 class TestKernelSymmetry:
@@ -479,14 +481,14 @@ class TestLemma:
     def test_residual_within_fd_error(self, ctx30):
         h = mpf(10) ** (-10)
         for n, k, u in [(3, 0, 0), (4, 1, "2.5"), (10, 4, 0)]:
-            res = lemma_check(n, k, u, ctx30)
+            res = lemma_check(n, k, u, ctx30).residual
             with mp.workdps(60):
                 assert res.value < 10 * h * h
 
     def test_h_squared_scaling(self, ctx30):
         # Halving h must shrink the residual by about 4 (within factor 2).
-        big = lemma_check(6, 1, "0.7", ctx30, h="1e-8")
-        small = lemma_check(6, 1, "0.7", ctx30, h="0.5e-8")
+        big = lemma_check(6, 1, "0.7", ctx30, h="1e-8").residual
+        small = lemma_check(6, 1, "0.7", ctx30, h="0.5e-8").residual
         with mp.workdps(60):
             ratio = big.value / small.value
             assert 2 < ratio < 8
@@ -498,6 +500,11 @@ class TestLemma:
             lemma_check(3, 0.5, 0, ctx30)
         with pytest.raises(DomainError):
             lemma_check(3, 0, 0, ctx30, h=0)
+        for bad in NOT_INTS:
+            with pytest.raises(DomainError):
+                lemma_check(bad, 0, 0, ctx30)
+            with pytest.raises(DomainError):
+                lemma_check(3, bad, 0, ctx30)
 
 
 @pytest.mark.parametrize("u", ["1e4400", "-1e4400"])

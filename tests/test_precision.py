@@ -17,6 +17,7 @@ from almostid import (
     rational,
 )
 from almostid.precision import to_mpf
+from conftest import NOT_INTS
 
 # 50-digit reference constants, checked against any standard table.
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -38,7 +39,7 @@ class TestPrecisionContext:
         with pytest.raises(DomainError):
             PrecisionContext(digits=digits)
 
-    @pytest.mark.parametrize("digits", [2.5, "30"])
+    @pytest.mark.parametrize("digits", [2.5, "30", *NOT_INTS])
     def test_rejects_non_integer_digits(self, digits):
         with pytest.raises(DomainError):
             PrecisionContext(digits=digits)

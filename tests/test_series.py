@@ -24,7 +24,7 @@ from almostid import (
     verify_identity,
 )
 from almostid.precision import to_mpf
-from conftest import leading_digits
+from conftest import NOT_INTS, leading_digits
 
 # Published reference values for base 2: leading two digits of u_n - t_n,
 # encoded as (two-digit mantissa, exponent of the leading digit).
@@ -167,12 +167,12 @@ class TestUDirect:
         with pytest.raises(ConvergenceError, match=r"K = \d+ terms at n=1, m=2"):
             u_direct(1, 2, ctx30)
 
-    @pytest.mark.parametrize("n", [0, -2, 2.5, True])
+    @pytest.mark.parametrize("n", [0, -2, 2.5, *NOT_INTS])
     def test_bad_n(self, n, ctx30):
         with pytest.raises(DomainError):
             u_direct(n, 2, ctx30)
 
-    @pytest.mark.parametrize("m", [1, 0, -3, 2.0])
+    @pytest.mark.parametrize("m", [1, 0, -3, *NOT_INTS])
     def test_bad_base(self, m, ctx30):
         with pytest.raises(DomainError):
             u_direct(3, m, ctx30)
@@ -208,8 +208,9 @@ class TestTarget:
             assert target(n).has_pi is (n % 2 == 1)
 
     def test_bad_n(self):
-        with pytest.raises(DomainError):
-            target(0)
+        for n in (0, *NOT_INTS):
+            with pytest.raises(DomainError):
+                target(n)
 
 
 class TestCoefficients:
@@ -255,6 +256,11 @@ class TestCoefficients:
             coeff_b(1, 0, 2, ctx30)
         with pytest.raises(DomainError):
             coeff_c(1, 1, 1, ctx30)
+        for coeff in (coeff_c, coeff_b):
+            for bad in NOT_INTS:
+                for args in ((bad, 1, 2), (1, bad, 2), (1, 1, bad)):
+                    with pytest.raises(DomainError):
+                        coeff(*args, ctx30)
 
 
 class TestRCorrection:
@@ -348,6 +354,12 @@ class TestRCorrection:
             r_correction(0, 2, ctx30)
         with pytest.raises(DomainError):
             r_correction(3, 1, ctx30)
+        for route in (r_correction, predicted_correction, verify_identity):
+            for bad in NOT_INTS:
+                with pytest.raises(DomainError):
+                    route(bad, 2, ctx30)
+                with pytest.raises(DomainError):
+                    route(3, bad, ctx30)
 
 
 class TestPredictedCorrection:
@@ -441,8 +453,9 @@ class TestRecurrence:
         assert recurrence_factor(3) == Fraction(1, 8)
         assert recurrence_factor(4) == Fraction(1, 6)
         assert recurrence_factor(10) == Fraction(2, 9)
-        with pytest.raises(DomainError):
-            recurrence_factor(2)
+        for n in (2, *NOT_INTS):
+            with pytest.raises(DomainError):
+                recurrence_factor(n)
 
     @pytest.mark.parametrize("n,m", [(3, 2), (10, 2), (4, 4), (17, 9)])
     def test_residual_tiny_at_50_digits(self, n, m, ctx50):

@@ -10,10 +10,9 @@ from mpmath import mp, mpf
 from almostid import (
     BigReal,
     DomainError,
-    antiderivative_check,
     borwein_sum,
     dual_check,
-    harmonic_check,
+    harmonic_factor_check,
     hickerson,
     lemma_check,
     mellin_check,
@@ -47,7 +46,7 @@ def test_identity_bound_is_tails_plus_slack(ctx30):
 
 @pytest.mark.parametrize("check", [
     lambda ctx: mellin_check("g1", Fraction(1, 4), ctx),
-    lambda ctx: harmonic_check("g2", Fraction(1, 4), ctx),
+    lambda ctx: harmonic_factor_check("g2", Fraction(1, 4), ctx),
     lambda ctx: dual_check(1, "0.3", ctx),
 ], ids=["mellin", "harmonic", "dual"])
 def test_quadrature_and_dual_bound_is_pass_threshold(check, ctx30):
@@ -59,19 +58,18 @@ def test_quadrature_and_dual_bound_is_pass_threshold(check, ctx30):
 
 
 def test_harmonic_record_has_no_numeric_or_closed(ctx30):
-    record = harmonic_check("g2", Fraction(1, 4), ctx30)
+    record = harmonic_factor_check("g2", Fraction(1, 4), ctx30)
     assert (record.kind, record.numeric, record.closed) == ("harmonic", None, None)
     assert mellin_check("g2", Fraction(1, 4), ctx30).kind == "transform"
 
 
 @pytest.mark.parametrize("h", [None, "1e-6"])
 def test_lemma_bound_is_ten_h_squared(h, ctx30):
-    record = antiderivative_check(4, 1, "2.5", ctx30, h=h)
+    record = lemma_check(4, 1, "2.5", ctx30, h=h)
     with mp.workdps(ctx30.working_digits):
         step = lemma_step(ctx30) if h is None else mpf(h)
         assert record.h.value == step
         assert record.bound.value == 10 * step**2
-    assert record.residual == lemma_check(4, 1, "2.5", ctx30, h=record.h)
     assert record.passed == within(record.residual, record.bound)
     assert record.passed
     assert record.u == "2.5"
@@ -80,9 +78,9 @@ def test_lemma_bound_is_ten_h_squared(h, ctx30):
 def test_lemma_refuses_terms_below_the_bound(ctx30):
     # with h = 0.01 the bound is 1e-3: at n = 10, k = 4, u = 0 every term is
     # about p^8 = (4/17)^8 = 9.39e-6, so no residual could fail the row
-    assert antiderivative_check(3, 0, "0", ctx30, h="0.01").passed  # p = 1/2
+    assert lemma_check(3, 0, "0", ctx30, h="0.01").passed  # p = 1/2
     with pytest.raises(DomainError, match=r"p\^\(n-2\) = 9\.39e-6, are below"):
-        antiderivative_check(10, 4, "0", ctx30, h="0.01")
+        lemma_check(10, 4, "0", ctx30, h="0.01")
 
 
 GALLERY = {
