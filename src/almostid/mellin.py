@@ -5,7 +5,8 @@ Routes verified against each other:
     the double-exponential map t = sinh u
   * mellin_closed   - the trigonometric closed forms on the real axis
   * harmonic_factor_check - the transform of F(x) = sum_{k>=1} g(2^k x), built
-    node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1)
+    node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1), its
+    step halved until the strip bound is within tolerance
   * g_direct vs g_expansion - the dilate sums of g1 and g2, summed directly
     and as the residue sum of closed(s) x^{-s}/(2^s - 1), with the closed
     transform of _kernel read at complex s; _ratio_sum's rule stops each sum,
@@ -17,11 +18,14 @@ after x = e^t, where the trapezoid rule converges geometrically; t = sinh u
 makes the decay of the transform integrand double-exponential, which shrinks
 its grid from thousands of nodes to a few hundred.  One trapezoid rule,
 _refine_trapezoid, serves both quadratures: it picks each level's nodes,
-halves the ends, keeps the running sum, and halves the step until two levels,
-or their digit-doubling extrapolation, say the newest is within tolerance.
-Each quadrature only yields integrand values at the nodes asked for, in its
-own variable.  _kernel is the one table of each function's f, closed
-transform, strip and decay rates.
+halves the ends, keeps the running sum, and halves the step until the
+newest level is within tolerance.  The harmonic check stops on the
+trapezoid rule's strip bound, a proved bound of the discretization error
+relative to the estimate; mellin_numeric stops when two levels, or their
+digit-doubling extrapolation, agree.  Each quadrature only yields integrand
+values at the nodes asked for, in its own variable.  _kernel is the one
+table of each function's f, closed transform, strip, decay rates and
+complex majorant.
 
 Grid abscissae are fixed multiples of one another, so most exponentials are
 carried instead of called: mellin_numeric carries e^u from node to node of a
@@ -38,6 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -149,38 +154,66 @@ def _fn_closed(n, s):
     return 2 * (-mp.pi * s / _off_pole("fn", mp.cos, s)) * prod / math.factorial(n - 2)
 
 
+class _Kernel(NamedTuple):
+    f: object
+    closed: object
+    hi: object
+    a: object
+    b: object
+    majorant: object
+    c: int
+
+
 def _kernel(function_id):
-    """(f, closed, hi, a, b) of a transform function: f itself, its closed
-    transform at real s, the top of its strip (0, hi), and the offsets of the
-    decay rates s + a and b - s of f(e^t) e^{st} to the left and right of
-    t = 0.  The one place a function id is read.
+    """The _Kernel of a transform function: f itself, its closed transform
+    at real s, the top of its strip (0, hi), the offsets a and b of the decay
+    rates s + a and b - s of f(e^t) e^{st} to the left and right of t = 0,
+    and a majorant of f in the complex plane.  The one place a function id
+    is read.
 
     Per-function strips: g2 extends to (0, 1), so s = 1/2 is interior there
     even though the family-wide common strip is (0, 1/2).
+
+    The majorant is f~ with |f(e^{t+iy})| <= f~(e^t)/cos(y/2)^c for
+    |y| < pi, held as its transform M~(s) = int_0^oo f~(x) x^{s-1} dx, a Gamma
+    product that shares no code with ``closed``, and the exponent c:
+
+      g1: f~ = g1, M~ = Gamma(1/2 + s) Gamma(1/2 - s)/s, c = 1
+      g2: f~ = g2, M~ = Gamma(s) Gamma(1 - s), c = 1
+      fn: f~ = (sqrt x/(1 + x))^{n-2}, M~ = Gamma(h + s) Gamma(h - s)/Gamma(n - 2),
+          h = (n - 2)/2, c = n - 1
+
+    Proof, with z = rho e^{iy}: |1 + z| >= (1 + rho) cos(y/2) gives g2's
+    bound, and for fn, with |1 - z| <= 1 + rho, one 1/cos(y/2) from each of
+    its n - 2 factors sqrt z/(1 + z) and one from (1 - z)/(1 + z).  For g1,
+    atan w = int_0^1 w/(1 + tau^2 w^2) dtau with w = z^{-1/2}, and
+    |1 + tau^2 w^2| >= (1 + tau^2 |w|^2) cos(y/2) in the same way, so
+    |atan w| <= atan|w|/cos(y/2).
     """
     kind, n = parse_function_id(function_id)
     if kind == "g1":
-        return (_g1, lambda s: mp.pi / (s * _off_pole(kind, mp.cos, s)),
-                mpf(1) / 2, mpf(0), mpf(1) / 2)
+        return _Kernel(_g1, lambda s: mp.pi / (s * _off_pole(kind, mp.cos, s)),
+                       mpf(1) / 2, mpf(0), mpf(1) / 2,
+                       lambda s: mp.gamma(mpf(1) / 2 + s) * mp.gamma(mpf(1) / 2 - s) / s, 1)
     if kind == "g2":
-        return _g2, lambda s: mp.pi / _off_pole(kind, mp.sin, s), mpf(1), mpf(0), mpf(1)
+        return _Kernel(_g2, lambda s: mp.pi / _off_pole(kind, mp.sin, s), mpf(1), mpf(0), mpf(1),
+                       lambda s: mp.gamma(s) * mp.gamma(1 - s), 1)
     half = mpf(n - 2) / 2
-    return ((lambda x: _fn(n, x)), (lambda s: _fn_closed(n, s)),
-            min(mpf(1) / 2, half), half, half)
+    return _Kernel((lambda x: _fn(n, x)), (lambda s: _fn_closed(n, s)),
+                   min(mpf(1) / 2, half), half, half,
+                   lambda s: mp.gamma(half + s) * mp.gamma(half - s) / mp.gamma(n - 2), n - 1)
 
 
 def _check_strip(function_id, s):
     """The _kernel of function_id, once s is inside its strip."""
     kernel = _kernel(function_id)
-    hi = kernel[2]
-    if not 0 < s < hi:
-        raise DomainError(
-            f"s = {mp.nstr(s, 12)} outside the strip (0.0, {mp.nstr(hi, 6)}) of {function_id}"
-        )
+    if not 0 < s < kernel.hi:
+        raise DomainError(f"s = {mp.nstr(s, 12)} outside the strip "
+                          f"(0.0, {mp.nstr(kernel.hi, 6)}) of {function_id}")
     return kernel
 
 
-def _refine_trapezoid(values, n, h, tol):
+def _refine_trapezoid(values, n, h, tol, bound=None):
     """Trapezoid rule with step halving until the newest estimate is within tol.
 
     ``values(n, h, indices)`` yields the integrand, in whatever variable the
@@ -190,47 +223,58 @@ def _refine_trapezoid(values, n, h, tol):
     the two ends, every later level asks only for the odd midpoints, and one
     running sum of node values, times h, is the estimate.
 
-    Every substituted integrand here is analytic in a strip around the real
-    line, where the trapezoid error falls like e^{-c/h}: each halving about
-    doubles the correct digits.  So with d_k = |I_k - I_{k-1}|, which is
-    about the error of I_{k-1}, the error of I_k is about d_k^2 / d_{k-1}
-    (the digit-doubling estimate of Bailey, Jeyabalan and Li, Exp. Math.
-    2005).  A level is accepted when d_k < tol, or when
-    _DOUBLING_SAFETY * d_k^2 / d_{k-1} < tol; the second rule saves the
-    last, confirming halving, which holds half of all nodes.  Past
-    _MAX_LEVELS halvings it raises ConvergenceError.
+    With ``bound``, a proved bound(h) on the discretization error at step h
+    (see harmonic_factor_check), the first level I_h with
+    bound(h) <= tol |I_h| is accepted, and no level is compared with another.
+
+    Without it the stop is an estimate.  Every substituted integrand here is
+    analytic in a strip around the real line, where the trapezoid error
+    falls like e^{-c/h}: each halving about doubles the correct digits.  So
+    with d_k = |I_k - I_{k-1}|, which is about the error of I_{k-1}, the
+    error of I_k is about d_k^2 / d_{k-1} (the digit-doubling estimate of
+    Bailey, Jeyabalan and Li, Exp. Math. 2005).  A level is accepted when
+    d_k < tol, or when _DOUBLING_SAFETY * d_k^2 / d_{k-1} < tol; the second
+    rule saves the last, confirming halving, which holds half of all nodes.
+
+    Past _MAX_LEVELS halvings it raises ConvergenceError.
     """
 
-    def level_sum(indices, ends):
+    def level_sum(n, h, indices, ends):
         total = mpf(0)
         for i, term in enumerate(values(n, h, indices)):
             total += term / 2 if i in ends else term
         return total
 
-    acc = level_sum(range(n + 1), (0, n))
-    estimate = acc * h
-    prev = None
-    for _ in range(_MAX_LEVELS):
-        n *= 2
-        h /= 2
-        acc += level_sum(range(1, n, 2), ())
-        new = acc * h
-        delta = abs(new - estimate)
-        if delta < tol or (prev is not None and _DOUBLING_SAFETY * delta**2 < tol * prev):
-            return new
-        estimate, prev = new, delta
+    def levels(n, h):
+        acc = level_sum(n, h, range(n + 1), (0, n))
+        yield h, acc * h
+        for _ in range(_MAX_LEVELS):
+            n, h = 2 * n, h / 2
+            acc += level_sum(n, h, range(1, n, 2), ())
+            yield h, acc * h
+
+    estimate = prev = None
+    for step, new in levels(n, h):
+        if bound is not None:
+            if bound(step) <= tol * abs(new):
+                return new
+        elif estimate is not None:
+            delta = abs(new - estimate)
+            if delta < tol or (prev is not None and _DOUBLING_SAFETY * delta**2 < tol * prev):
+                return new
+            prev = delta
+        estimate = new
     raise ConvergenceError("trapezoid refinement did not stabilize before the level cap")
 
 
 def _exp_axis(function_id, s, ctx, step, dilate=False):
-    """f of function_id, the cutoffs t_left < t_right of f(e^t) e^{st}, and
-    the agreement tolerance; a span t_right - t_left of more than _MAX_NODES
-    steps of ``step`` is a DomainError.  With ``dilate`` the cutoffs are
+    """The _Kernel of function_id, the cutoffs t_left < t_right of
+    f(e^t) e^{st}, and the agreement tolerance; a span t_right - t_left of
+    more than _MAX_NODES steps of ``step`` is a DomainError.  With ``dilate`` the cutoffs are
     those of F(e^t) e^{st} for the dilate sum F, which tends to a bounded
     log-periodic function as x -> 0: its left decay rate is s, not s + a."""
-    f, _, hi, a, b = _check_strip(function_id, s)
-    if dilate:
-        a = 0
+    kernel = _check_strip(function_id, s)
+    a, b = (0 if dilate else kernel.a), kernel.b
     # cutoffs sized so the dropped tails sit far below the agreement target;
     # the +25 absorbs constant and slowly-varying (logarithmic) prefactors
     target_exp = (ctx.digits + 10) * mp.ln(10)
@@ -240,10 +284,10 @@ def _exp_axis(function_id, s, ctx, step, dilate=False):
     if nodes > _MAX_NODES:
         raise DomainError(
             f"s = {mp.nstr(s, 12)} is too near an edge of the strip (0.0, "
-            f"{mp.nstr(hi, 6)}) of {function_id}: its rate-bound span in t would take "
+            f"{mp.nstr(kernel.hi, 6)}) of {function_id}: its rate-bound span in t would take "
             f"{mp.nstr(nodes, 3)} steps of {mp.nstr(step, 3)}, over the cap of {_MAX_NODES}"
         )
-    return f, t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
+    return kernel, t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
 
 
 def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -259,7 +303,8 @@ def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     """
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        f, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
+        kernel, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
+        f = kernel.f
         u_left, u_right = mp.asinh(t_left), mp.asinh(t_right)
 
         def values(n, h, indices):
@@ -290,7 +335,7 @@ def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     """
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        return wrap(_check_strip(function_id, sv)[1](sv), ctx)
+        return wrap(_check_strip(function_id, sv).closed(sv), ctx)
 
 
 def pass_threshold(ctx: PrecisionContext):
@@ -361,11 +406,28 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> MellinC
     the order of the interval truncation already accepted.  The identity
     holds for every function of the grid (Flajolet, Gourdon and Dumas, TCS
     144, 1995); the left cutoff uses F's decay rate s (see _exp_axis).
+
+    The refinement stops on a proved bound of the discretization error,
+    relative to the estimate (see _refine_trapezoid); the cutoffs are sized
+    apart, by _exp_axis.  The integrand
+    F(e^t) e^{st} is analytic in |Im t| < pi, and there, by _kernel's
+    majorant applied term by term to F, its integral along each line
+    Im t = y, |y| <= a, is at most M = M~(s)/((2^s - 1) cos(a/2)^c).  The
+    trapezoid sum of step h is then within 2M/(e^{2 pi a/h} - 1) of the
+    integral (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1), and
+    a = 2 atan(4 pi/(c h)) minimises that over 0 < a < pi.
     """
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
         h0 = mp.ln(2) / 2
-        g, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, h0, dilate=True)
+        kernel, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, h0, dilate=True)
+        g, c = kernel.f, kernel.c
+        m0 = kernel.majorant(sv) / (mpf(2) ** sv - 1)  # M at a = 0
+
+        def bound(h):
+            a = 2 * mp.atan(4 * mp.pi / (c * h))
+            return 2 * m0 / (mp.cos(a / 2) ** c * (mp.exp(2 * mp.pi * a / h) - 1))
+
         lo = int(mp.floor(t_left / h0))
         hi = int(mp.ceil(t_right / h0))
 
@@ -378,7 +440,7 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> MellinC
                     2 * scale // indices.step):
                 yield value * weight
 
-        quad = _refine_trapezoid(values, hi - lo, h0, tol)
+        quad = _refine_trapezoid(values, hi - lo, h0, tol, bound)
         closed = mellin_closed(function_id, s, ctx).value / (mpf(2) ** sv - 1)
         err = wrap(abs(quad - closed), ctx)
     return _mellin_record("harmonic", function_id, s, None, None, err, ctx)
@@ -400,8 +462,8 @@ def _dilate_kernel(route, n, x):
     xv = to_mpf(x)
     if xv <= 0:
         raise DomainError(f"{route} requires x > 0, got {mp.nstr(xv, 12)}")
-    g, closed, _, _, b = _kernel(f"g{n}")
-    return (xv, g, closed, b, *_DILATE[n])
+    kernel = _kernel(f"g{n}")
+    return (xv, kernel.f, kernel.closed, kernel.b, *_DILATE[n])
 
 
 def g_direct(n: int, x, ctx: PrecisionContext) -> SeriesValue:

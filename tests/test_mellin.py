@@ -27,8 +27,22 @@ from almostid import (
 )
 import almostid.mellin as mellin_mod
 import almostid.series as series_mod
-from almostid.mellin import _dilate_nodes, _fn, _g1, _g2, _refine_trapezoid
+from almostid.mellin import _dilate_nodes, _fn, _g1, _g2, _kernel, _refine_trapezoid
 from conftest import NOT_INTS
+
+
+def _closed_reference(function_id, s):
+    """The transform of function_id at the mpf s, from Gamma: the beta
+    integral gives -2 s Gamma(h + s) Gamma(h - s)/Gamma(n - 1), h = n/2 - 1,
+    for fn, and the reflection formula pi/(s cos pi s) for g1 and
+    pi/sin(pi s) for g2.  The library never computes fn's this way."""
+    if function_id == "g1":
+        return mp.pi / (s * mp.cos(mp.pi * s))
+    if function_id == "g2":
+        return mp.pi / mp.sin(mp.pi * s)
+    n = int(function_id[2:])
+    half = mpf(n) / 2 - 1
+    return -2 * s * mp.gamma(half + s) * mp.gamma(half - s) / mp.gamma(n - 1)
 
 
 class TestParseFunctionId:
@@ -83,16 +97,11 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("s", [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)])
     def test_gamma_form_cross_check(self, n, s, ctx40):
-        # Independent route: the same transform collapses to
-        # -2 s Gamma(n/2-1+s) Gamma(n/2-1-s) / Gamma(n-1)
-        # via the beta integral; the library never computes it this way.
         if Fraction(n - 2, 2) <= s:
             pytest.skip("outside the fn strip")
         got = mellin_closed(f"fn{n}", s, ctx40)
         with mp.workdps(ctx40.working_digits + 10):
-            sv = mpf(s.numerator) / s.denominator
-            half = mpf(n) / 2 - 1
-            ref = -2 * sv * mp.gamma(half + sv) * mp.gamma(half - sv) / mp.gamma(n - 1)
+            ref = _closed_reference(f"fn{n}", mpf(s.numerator) / s.denominator)
             assert abs(got.value - ref) < mpf(10) ** (-48) * abs(ref)
 
     def test_pole_rejected(self, ctx30):
@@ -269,14 +278,15 @@ class TestCarriedExponentials:
 
     def test_exp_calls_per_level_not_per_node(self, ctx30, monkeypatch):
         # Only the chain heads, the first ln 2 of a level, call exp (two
-        # each, for x and x^s): 2, 2 and 4 heads on the three levels.
+        # each, for x and x^s), 2 heads on each of the two levels, and the
+        # strip bound one per level.
         exp_calls = []
         real_exp = mp.exp
         monkeypatch.setattr(mp, "exp", lambda z: exp_calls.append(z) or real_exp(z))
         levels = _record_levels(monkeypatch)
         harmonic_factor_check("g2", Fraction(1, 4), ctx30)
-        nodes = sum(len(level) for _, level in levels)
-        assert nodes > 5000
+        assert len(levels) == 2
+        assert sum(len(level) for _, level in levels) == 3663
         assert len(exp_calls) <= 8 * len(levels)
 
 
@@ -305,6 +315,89 @@ class TestHarmonicFactor:
             fn7 = mellin_mod._exp_axis("fn7", s, ctx30, mpf(1), dilate=True)[1]
             assert fn7 == mellin_mod._exp_axis("g2", s, ctx30, mpf(1), dilate=True)[1]
             assert fn7 < 2 * mellin_mod._exp_axis("fn7", s, ctx30, mpf(1))[1]
+
+    def test_g1_stops_on_strip_bound(self, ctx30, monkeypatch):
+        # one g call per node: the strip bound accepts the level that the
+        # difference of two levels could only confirm with one more halving
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _g1(x)
+
+        monkeypatch.setattr(mellin_mod, "_g1", counted)
+        harmonic_factor_check("g1", Fraction(1, 4), ctx30)
+        assert len(calls) <= 5465
+
+    @pytest.mark.parametrize("fid", ["fn120", "fn200"])
+    @pytest.mark.parametrize("s", ["1/8", "1/4"])
+    def test_stop_relative_to_value(self, fid, s, ctx30):
+        # values of ~1e-38 (fn120) and ~1e-63 (fn200), below an absolute
+        # tolerance of 10^-35: each cell must still hold 30 digits of its own
+        # size, against the Gamma form at +40 digits
+        check = harmonic_factor_check(fid, Fraction(s), ctx30)
+        closed = mellin_closed(fid, Fraction(s), ctx30)
+        with mp.workdps(ctx30.working_digits + 40):
+            sv = mpf(Fraction(s).numerator) / Fraction(s).denominator
+            ref = _closed_reference(fid, sv)
+            err = check.abs_err.value + abs(closed.value - ref) / (2**sv - 1)
+            assert err <= mpf(10) ** (-ctx30.digits) * abs(ref / (2**sv - 1))
+
+
+def _majorant(function_id, x):
+    """The f~ of _kernel's majorant at real x > 0."""
+    if function_id in ("g1", "g2"):
+        return (_g1 if function_id == "g1" else _g2)(x)
+    return (mp.sqrt(x) / (1 + x)) ** (int(function_id[2:]) - 2)
+
+
+class TestStripBound:
+    # harmonic_factor_check stops on 2M/(e^{2 pi a/h} - 1), with M from the
+    # majorant |f(e^{t+iy})| <= f~(e^t)/cos(y/2)^c that _kernel holds as the
+    # transform of f~ and the exponent c
+
+    @pytest.mark.parametrize("fid", ["g1", "g2", "fn3", "fn7", "fn20"])
+    def test_majorant_bounds_f_in_strip(self, fid):
+        kernel = _kernel(fid)
+        with mp.workdps(30):
+            for t in range(-12, 13, 2):
+                for frac in ("0", "0.25", "0.5", "0.75", "0.9", "0.99", "0.999"):
+                    for y in (mp.pi * mpf(frac), -mp.pi * mpf(frac)):
+                        z = mp.exp(mp.mpc(t, y))
+                        # g1 = 2 atan(z^{-1/2}), the branch _g1 takes on the real axis
+                        f = 2 * mp.atan(1 / mp.sqrt(z)) if fid == "g1" else kernel.f(z)
+                        limit = _majorant(fid, mp.exp(t)) / mp.cos(y / 2) ** kernel.c
+                        assert abs(f) <= limit * (1 + mpf(10) ** -25)
+
+    @pytest.mark.parametrize("fid", ["g1", "g2", "fn3", "fn7", "fn20"])
+    def test_majorant_transform(self, fid):
+        # M~(s) against a quadrature of f~(e^t) e^{st} over the real line
+        with mp.workdps(20):
+            s = mpf(1) / 4
+            got = _kernel(fid).majorant(s)
+            ref = mp.quad(lambda t: _majorant(fid, mp.exp(t)) * mp.exp(s * t),
+                          [-mp.inf, 0, mp.inf])
+            assert abs(got - ref) < mpf(10) ** -12 * ref
+
+    @pytest.mark.parametrize("fid", [*FUNCTION_GRID, "fn20", "fn60"])
+    @pytest.mark.parametrize("s", ["1/8", "1/4", "3/8"])
+    def test_bound_covers_first_level(self, fid, s, ctx30, monkeypatch):
+        # the first level, step ln2/2, against the Gamma form at +40 digits;
+        # its error ~1e-23 is far above the cutoffs' and the rounding
+        seen = []
+
+        def first_level(values, n, h, tol, bound):
+            level = list(values(n, h, range(n + 1)))
+            seen.append(((sum(level) - (level[0] + level[-1]) / 2) * h, bound(h)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(mellin_mod, "_refine_trapezoid", first_level)
+        harmonic_factor_check(fid, Fraction(s), ctx30)
+        (estimate, bound), = seen
+        with mp.workdps(ctx30.working_digits + 40):
+            sv = mpf(Fraction(s).numerator) / Fraction(s).denominator
+            err = abs(estimate - _closed_reference(fid, sv) / (2**sv - 1))
+            assert 0 < err <= bound
 
 
 class TestDualRoutes:
