@@ -2,7 +2,7 @@
 
 Routes verified against each other:
   * mellin_numeric  - direct integration of f(x) x^{s-1} after x = e^t and
-    the double-exponential map t = sinh u
+    the double-exponential map t = sinh u, folded at x = 1
   * mellin_closed   - the trigonometric closed forms on the real axis
   * harmonic_factor_check - the transform of F(x) = sum_{k>=1} g(2^k x), built
     node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1), its
@@ -25,7 +25,10 @@ relative to the estimate; mellin_numeric stops when two levels, or their
 digit-doubling extrapolation, agree.  Each quadrature only yields integrand
 values at the nodes asked for, in its own variable.  _kernel is the one
 table of each function's f, closed transform, strip, decay rates and
-complex majorant.
+complex majorant.  Every f obeys the reflection f(x) + f(1/x) = f(0) (see
+_kernel), and both quadratures call f at x >= 1 only: mellin_numeric folds
+its integrand at x = 1, and the harmonic check takes each g left of x = 1
+from its mirror node's (see _dilate_nodes).
 
 Grid abscissae are fixed multiples of one another, so most exponentials are
 carried instead of called: mellin_numeric carries e^u from node to node of a
@@ -174,6 +177,14 @@ def _kernel(function_id):
     Per-function strips: g2 extends to (0, 1), so s = 1/2 is interior there
     even though the family-wide common strip is (0, 1/2).
 
+    Every f obeys the reflection f(x) + f(1/x) = f(0), read from f itself
+    at 0: pi for g1, 1 for g2 and 0 for fn.
+
+      g1: atan w + atan(1/w) = pi/2 for w = 1/sqrt x > 0;
+      g2: 1/(1 + x) + x/(1 + x) = 1;
+      fn: sqrt x/(1 + x) does not change under x -> 1/x, and (1 - x)/(1 + x)
+          changes sign.
+
     The majorant is f~ with |f(e^{t+iy})| <= f~(e^t)/cos(y/2)^c for
     |y| < pi, held as its transform M~(s) = int_0^oo f~(x) x^{s-1} dx, a Gamma
     product that shares no code with ``closed``, and the exponent c:
@@ -291,38 +302,46 @@ def _exp_axis(function_id, s, ctx, step, dilate=False):
 
 
 def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
-    """Quadrature of the transform integral along x = e^t, t = sinh u.
+    """Quadrature of the transform integral along x = e^t, t = sinh u,
+    folded at x = 1.
 
-    The rate-bound cutoffs t_left < t_right become u = asinh(t), where
-    f(e^{sinh u}) e^{s sinh u} cosh u decays double-exponentially, so the
-    trapezoid grid in u needs a few hundred nodes where one in t over the
-    same span needs thousands.  Along each level e^u is carried from node to
-    node: one exp at the level's first node, then one product by e^{stride h}
-    per node, with sinh u and cosh u taken as (e^u -+ e^{-u})/2.  That leaves
-    two exps per node, e^t and e^{st}, plus what f itself calls.
+    The rate-bound cutoffs t_left < t_right become |u| <= U =
+    asinh(max(-t_left, t_right)), where f(e^{sinh u}) e^{s sinh u} cosh u
+    decays double-exponentially, so the trapezoid grid in u needs a few
+    hundred nodes where one in t over the same span needs thousands.  By
+    _kernel's reflection f(1/x) = f(0) - f(x), the integrand at -u and at u
+    add up to psi(u) = cosh u [f(x) x^s + (f(0) - f(x)) x^{-s}], x =
+    e^{sinh u}, and the trapezoid rule for psi on [0, U], ends halved, is
+    the symmetric rule for the integrand on [-U, U].  f is only called at
+    x >= 1, where f(0) - f(x) does not cancel.  Along each level e^u is
+    carried from node to node: one exp at the level's first node, then one
+    product by e^{stride h} per node, with sinh u and cosh u taken as
+    (e^u -+ e^{-u})/2.  That leaves two exps per node pair, e^t and e^{st},
+    plus what f itself calls.
     """
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
         kernel, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
         f = kernel.f
-        u_left, u_right = mp.asinh(t_left), mp.asinh(t_right)
+        f0 = f(mpf(0))
+        u_top = mp.asinh(max(-t_left, t_right))
 
         def values(n, h, indices):
             # e^u drifts by about one rounding per node, relative: log10 of the
             # level's node count in digits (3 at the ~10^3 nodes of a 200-digit
-            # level) of the 15 guard digits.  A direct u_left + j h is itself
-            # off by up to |u| <= 12 roundings.
-            e = mp.exp(u_left + indices.start * h)
+            # level) of the 15 guard digits.  A direct j h is itself off by up
+            # to u <= 12 roundings.
+            e = mp.exp(indices.start * h)
             ratio = mp.exp(indices.step * h)
             for _ in indices:
                 inv = 1 / e
                 t = (e - inv) / 2
-                yield f(mp.exp(t)) * mp.exp(sv * t) * (e + inv) / 2
+                fx, w = f(mp.exp(t)), mp.exp(sv * t)
+                yield (fx * w + (f0 - fx) / w) * (e + inv) / 2
                 e *= ratio
 
-        span = u_right - u_left
-        steps = max(8, int(mp.ceil(span / _STEP)))
-        return wrap(_refine_trapezoid(values, steps, span / steps, tol), ctx)
+        steps = max(8, int(mp.ceil(u_top / _STEP)))
+        return wrap(_refine_trapezoid(values, steps, u_top / steps, tol), ctx)
 
 
 def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -377,18 +396,37 @@ def _dilate_nodes(g, s, h, top, bottom, stride, period):
     2^{-s}.  The residue chains j, j - ln2/h, ... are the only carries, each
     span/ln 2 long (~1.8*10^3 for g1 at s = 1/8 and 30 digits): under
     _MAX_NODES at most 5*10^4 products by 2^{-s}, a relative error of ~10^5
-    roundings, 5 of the 15 guard digits.  Only the last ``period`` nodes
-    are held.
+    roundings, 5 of the 15 guard digits.
+
+    Each node calls g once, at the index k = j + period * stride of 2x,
+    unless k < 0 and the sweep has already called g at -k: then g at k is
+    g(0) minus that value (_kernel's reflection).  On every level of the
+    harmonic check -k is an index of the same sweep, as the later levels
+    take odd indices only, whose mirrors are odd.  Held are the last
+    ``period`` nodes and each g at a k > 0 whose mirror -k the sweep has
+    yet to reach, dropped once it does.
     """
     half_s = mpf(2) ** (-s)
+    g0 = g(mpf(0))
+    shift = period * stride  # index of 2x less that of x
+    low = bottom + shift  # the lowest index whose g the sweep needs
+    mirrors = {}
     window = deque(maxlen=period)
     for j in range(top, bottom - 1, -stride):
+        k = j + shift
         if len(window) == period:
             x2, f2, w2 = window[0]
-            x, w, value = x2 / 2, w2 * half_s, g(x2) + f2
+            x, w = x2 / 2, w2 * half_s
         else:
             x, w = mp.exp(j * h), mp.exp(s * j * h)
-            value = g(2 * x)
+            x2, f2 = 2 * x, 0
+        if -k in mirrors:
+            gk = g0 - mirrors.pop(-k)
+        else:
+            gk = g(x2)
+            if 0 < k <= -low:
+                mirrors[k] = gk
+        value = gk + f2
         window.append((x, value, w))
         yield j, x, value, w
 

@@ -137,6 +137,15 @@ class TestStrips:
         assert check.passed
 
 
+def _counted(monkeypatch, name):
+    """Replace the kernel function ``name`` of mellin by one that records
+    its every argument in the list returned."""
+    calls = []
+    real = getattr(mellin_mod, name)
+    monkeypatch.setattr(mellin_mod, name, lambda x: calls.append(x) or real(x))
+    return calls
+
+
 class TestQuadratureAgainstClosed:
     @pytest.mark.parametrize(
         "fid,s",
@@ -161,15 +170,15 @@ class TestQuadratureAgainstClosed:
             assert abs(numeric.value - closed.value) < tol
 
     def test_node_count(self, ctx30, monkeypatch):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return _g1(x)
-
-        monkeypatch.setattr(mellin_mod, "_g1", counted)
+        # folded at x = 1: one read of f(0), then one f call per node pair,
+        # 129 over four levels, each at x >= 1 (225 calls on both sides of
+        # x = 1 unfolded)
+        calls = _counted(monkeypatch, "_g1")
         mellin_numeric("g1", Fraction(1, 8), ctx30)
-        assert len(calls) <= 2000
+        assert calls.count(0) == 1
+        nodes = [x for x in calls if x != 0]
+        assert len(nodes) <= 129
+        assert min(nodes) >= 1
 
     def test_threshold_scale(self, ctx30):
         with mp.workdps(45):
@@ -317,17 +326,20 @@ class TestHarmonicFactor:
             assert fn7 < 2 * mellin_mod._exp_axis("fn7", s, ctx30, mpf(1))[1]
 
     def test_g1_stops_on_strip_bound(self, ctx30, monkeypatch):
-        # one g call per node: the strip bound accepts the level that the
-        # difference of two levels could only confirm with one more halving
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return _g1(x)
-
-        monkeypatch.setattr(mellin_mod, "_g1", counted)
+        # the strip bound accepts the level that the difference of two levels
+        # could only confirm with one more halving, and the span is
+        # symmetric about t = 0: g is called at t >= 0 only, plus g(0) once
+        # per level, half as often as at the 5465 nodes
+        calls = _counted(monkeypatch, "_g1")
         harmonic_factor_check("g1", Fraction(1, 4), ctx30)
-        assert len(calls) <= 5465
+        assert len(calls) <= 2739
+
+    def test_g2_reuses_mirror_nodes(self, ctx30, monkeypatch):
+        # g2's span reaches three times as far left as right: only the nodes
+        # left of t = 0 whose mirror lies inside the grid are spared a call
+        calls = _counted(monkeypatch, "_g2")
+        harmonic_factor_check("g2", Fraction(1, 4), ctx30)
+        assert len(calls) <= 2731
 
     @pytest.mark.parametrize("fid", ["fn120", "fn200"])
     @pytest.mark.parametrize("s", ["1/8", "1/4"])
@@ -555,15 +567,17 @@ class TestDualRoutes:
 
 
 class TestKernelSymmetry:
-    @given(x=st.floats(min_value=0.05, max_value=0.95))
+    @given(e=st.floats(min_value=-40, max_value=0))
     @settings(max_examples=25, deadline=None)
-    def test_fn_antisymmetric_under_inversion(self, x):
-        # f_n(1/x) = -f_n(x): the kernel is odd across x = 1
+    def test_reflection_about_one(self, e):
+        # f(x) + f(1/x) = f(0), which both quadratures fold on: pi for g1, 1
+        # for g2, 0 for fn (odd across x = 1)
         with mp.workdps(40):
-            for n in (3, 4, 7):
-                a = _fn(n, mpf(x))
-                b = _fn(n, 1 / mpf(x))
-                assert abs(a + b) < mpf(10) ** (-35) * max(1, abs(a))
+            x = mpf(10) ** e
+            for fid in ("g1", "g2", "fn3", "fn4", "fn7", "fn20"):
+                f = _kernel(fid).f
+                f0 = f(mpf(0))
+                assert abs(f(x) + f(1 / x) - f0) < mpf(10) ** (-35) * max(1, abs(f0))
 
     def test_fn_vanishes_at_one(self):
         with mp.workdps(40):
