@@ -5,30 +5,34 @@ Routes verified against each other:
     the double-exponential map t = sinh u, folded at x = 1
   * mellin_closed   - the trigonometric closed forms on the real axis
   * harmonic_factor_check - the transform of F(x) = sum_{k>=1} g(2^k x), built
-    node by node from F(x) = g(2x) + F(2x), against closed/(2^s - 1), its
-    step halved until the strip bound is within tolerance
+    node by node from F(x) = g(2x) + F(2x) on 2^-K <= x <= 2^K and in closed
+    form past both ends, against closed/(2^s - 1), its step halved until the
+    strip bound is within tolerance
   * g_direct vs g_expansion - the dilate sums of g1 and g2, summed directly
-    and as the residue sum of closed(s) x^{-s}/(2^s - 1), with the closed
-    transform of _kernel read at complex s; _ratio_sum's rule stops each sum,
-    with rho g(2^{k+1}x)/g(2^k x), x (power) or 2 e^{-2 pi^2/ln 2} (oscillating)
+    up to 2^K and from g's expansion at infinity past it, and as the residue
+    sum of closed(s) x^{-s}/(2^s - 1), with the closed transform of _kernel
+    read at complex s; _ratio_sum's rule stops each series, with rho
+    growth(j)/(2y) (expansion at infinity), growth(j) x (power) or
+    2 e^{-2 pi^2/ln 2} (oscillating)
   * lemma_check     - the antiderivative identity via finite differences
 
 All integrands become analytic and exponentially decaying in both directions
 after x = e^t, where the trapezoid rule converges geometrically; t = sinh u
 makes the decay of the transform integrand double-exponential, which shrinks
 its grid from thousands of nodes to a few hundred.  One trapezoid rule,
-_refine_trapezoid, serves both quadratures: it picks each level's nodes,
-halves the ends, keeps the running sum, and halves the step until the
-newest level is within tolerance.  The harmonic check stops on the
-trapezoid rule's strip bound, a proved bound of the discretization error
-relative to the estimate; mellin_numeric stops when two levels, or their
-digit-doubling extrapolation, agree.  Each quadrature only yields integrand
-values at the nodes asked for, in its own variable.  _kernel is the one
-table of each function's f, closed transform, strip, decay rates and
-complex majorant.  Every f obeys the reflection f(x) + f(1/x) = f(0) (see
-_kernel), and both quadratures call f at x >= 1 only: mellin_numeric folds
-its integrand at x = 1, and the harmonic check takes each g left of x = 1
-from its mirror node's (see _dilate_nodes).
+_refine_trapezoid, serves both quadratures: it asks each level for its
+terms, keeps the running sum, and halves the step until the newest level is
+within tolerance; each use weighs its own terms.  The harmonic check stops
+on the trapezoid rule's strip bound, a proved bound of the discretization
+error of the infinite sum relative to the estimate; mellin_numeric stops
+when two levels, or their digit-doubling extrapolation, agree.  _kernel is
+the one table of each function's f, closed transform, strip, expansion at 0
+and complex majorant.  Every f obeys the reflection f(x) + f(1/x) = f(0)
+(see _kernel), and both quadratures call f at x >= 1 only: mellin_numeric
+folds its integrand at x = 1, and the harmonic check takes each g left of
+x = 1 from its mirror node's (see _dilate_nodes).  The expansion gives the
+harmonic check's infinite sums both ends, and g_direct its right one
+(see _far_dilate).
 
 Grid abscissae are fixed multiples of one another, so most exponentials are
 carried instead of called: mellin_numeric carries e^u from node to node of a
@@ -43,7 +47,6 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
@@ -61,6 +64,9 @@ _FN_RE = re.compile(r"^fn(\d+)$")
 # steps of that size the rate-bound span in t may take
 _STEP = mpf("0.5")
 _MAX_NODES = 10**5
+# the harmonic check and g_direct call g on 2^-K <= x <= 2^K only, K = _DIRECT_BITS;
+# past that the expansions of _kernel close both ends to working precision
+_DIRECT_BITS = 27
 # halvings _refine_trapezoid makes past its first level before giving up
 _MAX_LEVELS = 14
 # factor by which _refine_trapezoid inflates its digit-doubling error estimate
@@ -138,6 +144,11 @@ def _fn(n, x):
     return (mp.sqrt(x) / (1 + x)) ** (n - 2) * ((1 - x) / (1 + x))
 
 
+def _fn_coef(n, j):
+    """a_j of fn's expansion at 0 (see _kernel)."""
+    return (-1) ** j * (math.comb(j + n - 2, n - 2) + math.comb(j + n - 3, n - 2))
+
+
 def _off_pole(kind, trig, s):
     """trig(pi s), refused as a pole of the closed form where it vanishes to
     the active precision."""
@@ -161,18 +172,17 @@ class _Kernel(NamedTuple):
     f: object
     closed: object
     hi: object
-    a: object
-    b: object
+    lam: object
+    coef: object
+    growth: object
     majorant: object
     c: int
 
 
 def _kernel(function_id):
     """The _Kernel of a transform function: f itself, its closed transform
-    at real s, the top of its strip (0, hi), the offsets a and b of the decay
-    rates s + a and b - s of f(e^t) e^{st} to the left and right of t = 0,
-    and a majorant of f in the complex plane.  The one place a function id
-    is read.
+    at real s, the top of its strip (0, hi), its expansion at 0, and a
+    majorant of f in the complex plane.  The one place a function id is read.
 
     Per-function strips: g2 extends to (0, 1), so s = 1/2 is interior there
     even though the family-wide common strip is (0, 1/2).
@@ -184,6 +194,20 @@ def _kernel(function_id):
       g2: 1/(1 + x) + x/(1 + x) = 1;
       fn: sqrt x/(1 + x) does not change under x -> 1/x, and (1 - x)/(1 + x)
           changes sign.
+
+    The expansion is f(x) = f(0) + sum_{j>=0} a_j x^{lam + j} for 0 < x < 1,
+    held as lam, coef(j) = a_j and growth(j) >= |a_{i+1}/a_i| for every
+    i >= j; by the reflection, f(y) = -sum_j a_j y^{-(lam + j)} for y > 1:
+
+      g1: lam = 1/2, a_j = -2 (-1)^j/(2j + 1)  (atan's series), growth 1
+      g2: lam = 1, a_j = (-1)^{j+1}  (the geometric series), growth 1
+      fn: lam = (n - 2)/2, a_j = (-1)^j [C(j+n-2, n-2) + C(j+n-3, n-2)]
+          ((1 - x) times the binomial series of (1 + x)^{-(n-1)}), growth n
+          at j = 0 and (j + n - 2)/j after, as C(i+m, m)/C(i-1+m, m) =
+          (i + m)/i falls with i
+
+    So f(e^t) e^{st} decays at rate lam - s to the right, and to the left at
+    rate s where f(0) != 0 and s + lam where f(0) = 0.
 
     The majorant is f~ with |f(e^{t+iy})| <= f~(e^t)/cos(y/2)^c for
     |y| < pi, held as its transform M~(s) = int_0^oo f~(x) x^{s-1} dx, a Gamma
@@ -203,15 +227,17 @@ def _kernel(function_id):
     """
     kind, n = parse_function_id(function_id)
     if kind == "g1":
-        return _Kernel(_g1, lambda s: mp.pi / (s * _off_pole(kind, mp.cos, s)),
-                       mpf(1) / 2, mpf(0), mpf(1) / 2,
+        return _Kernel(_g1, lambda s: mp.pi / (s * _off_pole(kind, mp.cos, s)), mpf(1) / 2,
+                       mpf(1) / 2, lambda j: mpf(-2 * (-1) ** j) / (2 * j + 1), lambda j: 1,
                        lambda s: mp.gamma(mpf(1) / 2 + s) * mp.gamma(mpf(1) / 2 - s) / s, 1)
     if kind == "g2":
-        return _Kernel(_g2, lambda s: mp.pi / _off_pole(kind, mp.sin, s), mpf(1), mpf(0), mpf(1),
+        return _Kernel(_g2, lambda s: mp.pi / _off_pole(kind, mp.sin, s), mpf(1),
+                       mpf(1), lambda j: (-1) ** (j + 1), lambda j: 1,
                        lambda s: mp.gamma(s) * mp.gamma(1 - s), 1)
     half = mpf(n - 2) / 2
-    return _Kernel((lambda x: _fn(n, x)), (lambda s: _fn_closed(n, s)),
-                   min(mpf(1) / 2, half), half, half,
+    return _Kernel((lambda x: _fn(n, x)), (lambda s: _fn_closed(n, s)), min(mpf(1) / 2, half),
+                   half, lambda j: _fn_coef(n, j),
+                   lambda j: mpf(j + n - 2) / j if j else n,
                    lambda s: mp.gamma(half + s) * mp.gamma(half - s) / mp.gamma(n - 2), n - 1)
 
 
@@ -227,12 +253,13 @@ def _check_strip(function_id, s):
 def _refine_trapezoid(values, n, h, tol, bound=None):
     """Trapezoid rule with step halving until the newest estimate is within tol.
 
-    ``values(n, h, indices)`` yields the integrand, in whatever variable the
-    use integrates over, at the nodes of step h whose indices, out of 0..n,
-    are in the range ``indices``; it may run that range in either direction.
-    The rule is applied here: the first level asks for every node and halves
-    the two ends, every later level asks only for the odd midpoints, and one
-    running sum of node values, times h, is the estimate.
+    ``values(n, h, indices)`` yields the terms of one level's sum, in
+    whatever variable the use integrates over, for the nodes of step h whose
+    indices, out of 0..n, are in the range ``indices``; it may run that range
+    in either direction, and it weighs the terms itself (halved ends, or
+    closed-form sums past them).  The first level asks for every node, every
+    later level only for the odd midpoints, and one running sum of the
+    terms, times h, is the estimate.
 
     With ``bound``, a proved bound(h) on the discretization error at step h
     (see harmonic_factor_check), the first level I_h with
@@ -250,18 +277,12 @@ def _refine_trapezoid(values, n, h, tol, bound=None):
     Past _MAX_LEVELS halvings it raises ConvergenceError.
     """
 
-    def level_sum(n, h, indices, ends):
-        total = mpf(0)
-        for i, term in enumerate(values(n, h, indices)):
-            total += term / 2 if i in ends else term
-        return total
-
     def levels(n, h):
-        acc = level_sum(n, h, range(n + 1), (0, n))
+        acc = sum(values(n, h, range(n + 1)), mpf(0))
         yield h, acc * h
         for _ in range(_MAX_LEVELS):
             n, h = 2 * n, h / 2
-            acc += level_sum(n, h, range(1, n, 2), ())
+            acc += sum(values(n, h, range(1, n, 2)), mpf(0))
             yield h, acc * h
 
     estimate = prev = None
@@ -278,14 +299,23 @@ def _refine_trapezoid(values, n, h, tol, bound=None):
     raise ConvergenceError("trapezoid refinement did not stabilize before the level cap")
 
 
-def _exp_axis(function_id, s, ctx, step, dilate=False):
-    """The _Kernel of function_id, the cutoffs t_left < t_right of
-    f(e^t) e^{st}, and the agreement tolerance; a span t_right - t_left of
-    more than _MAX_NODES steps of ``step`` is a DomainError.  With ``dilate`` the cutoffs are
-    those of F(e^t) e^{st} for the dilate sum F, which tends to a bounded
-    log-periodic function as x -> 0: its left decay rate is s, not s + a."""
+def _exp_axis(function_id, s, ctx, step):
+    """The _Kernel of function_id, f(0), the cutoffs t_left < t_right of
+    f(e^t) e^{st} at the decay rates of _kernel's expansions, and the
+    agreement tolerance.
+
+    The one rule that refuses s near an edge of the strip, in both
+    quadratures: a span t_right - t_left of more than _MAX_NODES steps of
+    ``step`` is a DomainError.  For mellin_numeric that span is its grid.
+    The harmonic check has no cutoffs, but its slow rates are the same:
+    where f(0) != 0 the left rate s is that of 2^{-s} -> 1 in the left
+    tail's factors 1/(1 - 2^{-s}), the right rate lam - s that of
+    e^{-(lam - s) H} -> 1 in the right tail's, and M~(s) of its strip bound
+    blows up at both (see harmonic_factor_check).
+    """
     kernel = _check_strip(function_id, s)
-    a, b = (0 if dilate else kernel.a), kernel.b
+    f0 = kernel.f(mpf(0))
+    a, b = (0 if f0 else kernel.lam), kernel.lam
     # cutoffs sized so the dropped tails sit far below the agreement target;
     # the +25 absorbs constant and slowly-varying (logarithmic) prefactors
     target_exp = (ctx.digits + 10) * mp.ln(10)
@@ -298,7 +328,7 @@ def _exp_axis(function_id, s, ctx, step, dilate=False):
             f"{mp.nstr(kernel.hi, 6)}) of {function_id}: its rate-bound span in t would take "
             f"{mp.nstr(nodes, 3)} steps of {mp.nstr(step, 3)}, over the cap of {_MAX_NODES}"
         )
-    return kernel, t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
+    return kernel, f0, t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
 
 
 def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -321,9 +351,8 @@ def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
     """
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        kernel, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
+        kernel, f0, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
         f = kernel.f
-        f0 = f(mpf(0))
         u_top = mp.asinh(max(-t_left, t_right))
 
         def values(n, h, indices):
@@ -333,11 +362,12 @@ def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
             # to u <= 12 roundings.
             e = mp.exp(indices.start * h)
             ratio = mp.exp(indices.step * h)
-            for _ in indices:
+            for i in indices:
                 inv = 1 / e
                 t = (e - inv) / 2
                 fx, w = f(mp.exp(t)), mp.exp(sv * t)
-                yield (fx * w + (f0 - fx) / w) * (e + inv) / 2
+                term = (fx * w + (f0 - fx) / w) * (e + inv) / 2
+                yield term / 2 if i in (0, n) else term
                 e *= ratio
 
         steps = max(8, int(mp.ceil(u_top / _STEP)))
@@ -384,49 +414,68 @@ def mellin_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
 # dilate sums F(x) = sum_{k>=1} g(2^k x)
 
 
-def _dilate_nodes(g, s, h, top, bottom, stride, period):
+def _far_dilate(kernel, y, ctx, name, weight=None):
+    """F(y) = sum_{k>=1} f(2^k y) at y > 1/2 from the expansion of f at
+    infinity (see _kernel): every 2^k y > 1, so summing over k gives
+
+      F(y) = -sum_{j>=0} a_j y^{-mu_j}/(2^{mu_j} - 1),  mu_j = lam + j,
+
+    each term times weight(mu_j) if a weight, non-increasing in mu, is given.
+    One _ratio_sum stream: |a_{i+1}/a_i| <= growth(j) for i >= j,
+    (2^mu - 1)/(2^{mu+1} - 1) < 1/2 and the weights do not grow, so
+    rho = growth(j)/(2y).  y^{-lam} and 2^lam are carried.
+    """
+
+    def terms():
+        power, two = y ** -kernel.lam, mpf(2) ** kernel.lam
+        for j in count():
+            term = -kernel.coef(j) * power / (two - 1)
+            yield term if weight is None else term * weight(kernel.lam + j)
+            power, two = power / y, 2 * two
+
+    return _ratio_sum(terms(), lambda k, t: kernel.growth(k - 1) / (2 * y), ctx, name)
+
+
+def _dilate_nodes(g, g0, s, h, top, bottom, stride, period, head):
     """Yield (j, x, F(x), x^s) at x = e^{jh} for j = top, top - stride, ...
     down to bottom.
 
-    F(x) = g(2x) + F(2x) with F = 0 past ``top``: a literal partial sum of
-    g(2^k x), where 2x is the node ``period`` places back in the stream
-    (period * stride * h = ln 2).  That node's x is exactly 2x, so only the
-    first ``period`` nodes call exp: every later x is the x one period back
-    halved, which is exact in binary, and its x^s is that node's x^s times
-    2^{-s}.  The residue chains j, j - ln2/h, ... are the only carries, each
-    span/ln 2 long (~1.8*10^3 for g1 at s = 1/8 and 30 digits): under
-    _MAX_NODES at most 5*10^4 products by 2^{-s}, a relative error of ~10^5
-    roundings, 5 of the 15 guard digits.
+    The first ``period`` nodes, the top ln 2 (period * stride * h = ln 2),
+    take F = head(x) and call exp for x and x^s.  Every later node takes
+    F(x) = g(2x) + F(2x), where 2x is the node ``period`` places back in the
+    stream: its x is exactly that node's x halved, which is exact in binary,
+    and its x^s that node's times 2^{-s}.  The residue chains j, j - ln2/h,
+    ... are the only carries, each at most the stream's span over ln 2 long
+    (~55 nodes in the harmonic check).
 
-    Each node calls g once, at the index k = j + period * stride of 2x,
-    unless k < 0 and the sweep has already called g at -k: then g at k is
-    g(0) minus that value (_kernel's reflection).  On every level of the
-    harmonic check -k is an index of the same sweep, as the later levels
-    take odd indices only, whose mirrors are odd.  Held are the last
-    ``period`` nodes and each g at a k > 0 whose mirror -k the sweep has
-    yet to reach, dropped once it does.
+    Each later node calls g once, at the index k = j + period * stride of
+    2x, unless k < 0 and the sweep has already called g at -k: then g at k
+    is g0 = g(0) minus that value (_kernel's reflection).  On every level of
+    the harmonic check -k is an index of the same sweep, as its span is
+    symmetric about t = 0 and the later levels take odd indices only, whose
+    mirrors are odd.  Held are the last ``period`` nodes and each g at a
+    k > 0 whose mirror -k the sweep has yet to reach, dropped once it does.
     """
     half_s = mpf(2) ** (-s)
-    g0 = g(mpf(0))
     shift = period * stride  # index of 2x less that of x
     low = bottom + shift  # the lowest index whose g the sweep needs
     mirrors = {}
     window = deque(maxlen=period)
     for j in range(top, bottom - 1, -stride):
-        k = j + shift
-        if len(window) == period:
+        if len(window) < period:
+            x, w = mp.exp(j * h), mp.exp(s * j * h)
+            value = head(x)
+        else:
             x2, f2, w2 = window[0]
             x, w = x2 / 2, w2 * half_s
-        else:
-            x, w = mp.exp(j * h), mp.exp(s * j * h)
-            x2, f2 = 2 * x, 0
-        if -k in mirrors:
-            gk = g0 - mirrors.pop(-k)
-        else:
-            gk = g(x2)
-            if 0 < k <= -low:
-                mirrors[k] = gk
-        value = gk + f2
+            k = j + shift
+            if -k in mirrors:
+                gk = g0 - mirrors.pop(-k)
+            else:
+                gk = g(x2)
+                if 0 < k <= -low:
+                    mirrors[k] = gk
+            value = gk + f2
         window.append((x, value, w))
         yield j, x, value, w
 
@@ -435,98 +484,132 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> MellinC
     """|quadrature of the dilate sum  -  closed form/(2^s - 1)| held to
     pass_threshold(ctx), a "harmonic" MellinCheck.
 
-    The grid on t = ln x has step ln2/2, ln2/4, ... and ends on whole
-    multiples of ln2/2, so each node's F is g(2x) plus the F of the node ln 2
-    to its right, and its x and weight e^{st} are carried from that node
-    too (see _dilate_nodes): past the first ln 2 of a level, a node costs
-    only its g.  Taking F = 0 past t_right drops about F(e^{t_right}) at
-    every node, which integrates to about the integrand at t_right over s:
-    the order of the interval truncation already accepted.  The identity
-    holds for every function of the grid (Flajolet, Gourdon and Dumas, TCS
-    144, 1995); the left cutoff uses F's decay rate s (see _exp_axis).
+    The identity holds for every function of the grid (Flajolet, Gourdon and
+    Dumas, TCS 144, 1995).  Each level of the trapezoid rule on t = ln x,
+    step ln2/2, ln2/4, ..., is an infinite sum of F(e^t) e^{st} over its
+    nodes, with no end to halve and no cutoff: g is called only on the
+    direct region 2^-K <= x <= 2^K, K = _DIRECT_BITS, and both geometric
+    ends are closed from g's expansion (see _kernel), each one _ratio_sum
+    stream.
+
+      * In the region each node's F is g(2x) plus the F of the node ln 2 to
+        its right, and its x and weight x^s are carried from that node too
+        (see _dilate_nodes): past the region's top ln 2, whose F comes from
+        _far_dilate, a node costs only its g.
+      * Right end: the nodes t_1 + m H, m >= 0, past the region add
+        -sum_j a_j/(2^{mu_j} - 1) e^{-(mu_j - s) t_1}/(1 - e^{-(mu_j - s) H}),
+        mu_j = lam + j > s (_far_dilate with that weight).
+      * Left end: every node below the region is x/2^i, i >= 1, of a node x
+        of the region's lowest ln 2, the window.  F(x/2^i) = F(x) +
+        sum_{m<i} g(x/2^m), so with weights x^s q^i, q = 2^{-s}, the window
+        node adds x^s q/(1 - q) [F(x) + G(x)], G(x) = sum_{m>=0} q^m g(x/2^m)
+        = g(0)/(1 - q) + sum_j a_j x^{mu_j}/(1 - q 2^{-mu_j}); the power
+        terms, summed over the window, are one stream with rho = growth(j)
+        times the window's largest x.
 
     The refinement stops on a proved bound of the discretization error,
-    relative to the estimate (see _refine_trapezoid); the cutoffs are sized
-    apart, by _exp_axis.  The integrand
+    relative to the estimate (see _refine_trapezoid).  The integrand
     F(e^t) e^{st} is analytic in |Im t| < pi, and there, by _kernel's
     majorant applied term by term to F, its integral along each line
     Im t = y, |y| <= a, is at most M = M~(s)/((2^s - 1) cos(a/2)^c).  The
-    trapezoid sum of step h is then within 2M/(e^{2 pi a/h} - 1) of the
-    integral (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1), and
-    a = 2 atan(4 pi/(c h)) minimises that over 0 < a < pi.
+    infinite trapezoid sum of step h is then within 2M/(e^{2 pi a/h} - 1)
+    of the integral (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1),
+    and a = 2 atan(4 pi/(c h)) minimises that over 0 < a < pi.  s near an
+    edge of the strip is refused up front (see _exp_axis).
     """
+    name = "harmonic_factor_check"
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
         h0 = mp.ln(2) / 2
-        kernel, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, h0, dilate=True)
-        g, c = kernel.f, kernel.c
+        kernel, g0, _, _, tol = _exp_axis(function_id, sv, ctx, h0)
+        g, c, lam = kernel.f, kernel.c, kernel.lam
+        q = mpf(2) ** -sv
+        rest = -mp.expm1(-sv * mp.ln(2))  # 1 - q, without its cancellation at small s
         m0 = kernel.majorant(sv) / (mpf(2) ** sv - 1)  # M at a = 0
 
         def bound(h):
             a = 2 * mp.atan(4 * mp.pi / (c * h))
             return 2 * m0 / (mp.cos(a / 2) ** c * (mp.exp(2 * mp.pi * a / h) - 1))
 
-        lo = int(mp.floor(t_left / h0))
-        hi = int(mp.ceil(t_right / h0))
+        def head(x):
+            return _far_dilate(kernel, x, ctx, name).value.value
+
+        def right_end(t1, step):
+            def weight(mu):
+                return 1 / -mp.expm1((sv - mu) * step)
+
+            far = _far_dilate(kernel, mp.exp(t1), ctx, name, weight)
+            return mp.exp(sv * t1) * far.value.value
+
+        def left_end(window):
+            top = max(x for x, _, _ in window)
+
+            def powers():
+                terms = [w * x**lam for x, _, w in window]
+                qp = q * mpf(2) ** -lam
+                for j in count():
+                    yield kernel.coef(j) * sum(terms, mpf(0)) / (1 - qp)
+                    terms = [t * x for t, (x, _, _) in zip(terms, window)]
+                    qp /= 2
+
+            series = _ratio_sum(powers(), lambda k, t: kernel.growth(k - 1) * top, ctx, name)
+            weights = sum((w for _, _, w in window), mpf(0))
+            values = sum((w * value for _, value, w in window), mpf(0))
+            return q / rest * (values + g0 / rest * weights + series.value.value)
+
+        span = 2 * _DIRECT_BITS  # the region is |t| <= span h0
 
         def values(n, h, indices):
-            # node i of the level sits at t = (bottom + i) h; right to left
-            scale = n // (hi - lo)
-            bottom = lo * scale
-            for _, _, value, weight in _dilate_nodes(
-                    g, sv, h, bottom + indices[-1], bottom + indices[0], indices.step,
-                    2 * scale // indices.step):
+            # node i of the level sits at t = (i - n/2) h; right to left
+            scale = n // (2 * span)
+            bottom, stride = -span * scale, indices.step
+            period = 2 * scale // stride
+            top = bottom + indices[-1]
+            window = deque(maxlen=period)
+            for _, x, value, weight in _dilate_nodes(g, g0, sv, h, top, bottom + indices[0],
+                                                     stride, period, head):
+                window.append((x, value, weight))
                 yield value * weight
+            yield right_end((top + stride) * h, stride * h)
+            yield left_end(window)
 
-        quad = _refine_trapezoid(values, hi - lo, h0, tol, bound)
+        quad = _refine_trapezoid(values, 2 * span, h0, tol, bound)
         closed = mellin_closed(function_id, s, ctx).value / (mpf(2) ** sv - 1)
         err = wrap(abs(quad - closed), ctx)
     return _mellin_record("harmonic", function_id, s, None, None, err, ctx)
 
 
-# g1 and g2 beyond their _kernel, as (C, lam, a): g_n(y) <= C y^{-b}, and
-# g_n(x) = g_n(0) + sum_{j>=0} a(j) x^{lam + j} near 0
-_DILATE = {
-    1: (2, Fraction(1, 2), lambda j: mpf(-2 * (-1) ** j) / (2 * j + 1)),
-    2: (1, Fraction(1), lambda j: (-1) ** (j + 1)),
-}
-
-
 def _dilate_kernel(route, n, x):
-    """x as mpf, then g, closed and b of g_n's _kernel, then C, lam and a of
-    _DILATE, once n is the int 1 or 2 and x > 0."""
-    if require_int(n, f"{route} n") not in _DILATE:
+    """x as mpf and the _Kernel of g_n, once n is the int 1 or 2 and x > 0."""
+    if require_int(n, f"{route} n") not in (1, 2):
         raise DomainError(f"{route} supports n = 1 or 2, got {n!r}")
     xv = to_mpf(x)
     if xv <= 0:
         raise DomainError(f"{route} requires x > 0, got {mp.nstr(xv, 12)}")
-    kernel = _kernel(f"g{n}")
-    return (xv, kernel.f, kernel.closed, kernel.b, *_DILATE[n])
+    return xv, _kernel(f"g{n}")
 
 
 def g_direct(n: int, x, ctx: PrecisionContext) -> SeriesValue:
-    """Direct dilate sum F(x) = sum_{k>=1} g_n(2^k x), n = 1 or 2, stopped at
-    the first term <= 10^(-working digits) times the running sum with rho_k < 1.
+    """Direct dilate sum F(x) = sum_{k>=1} g_n(2^k x), n = 1 or 2.
 
-    rho_k = g_n(2^{k+1} x)/g_n(2^k x): ln g_n(e^v) is concave in v for g1
-    and g2, so g_n(2y)/g_n(y) falls as y grows.  Refused up front: a sum the
-    estimate from g_n(y) <= C y^{-b} (2 y^{-1/2} for g1, y^{-1} for g2, b the
-    right decay offset of g_n's _kernel) puts over 10^5 terms.
+    g_n(2^k x) is summed while 2^k x < 2^K, K = _DIRECT_BITS; the rest is
+    F(y) at y = 2^k x >= 2^{K-1}, the last point summed (or x itself), from
+    g_n's expansion at infinity (see _far_dilate).  Its tail bound and
+    terms are the ones reported, plus one term per g_n summed.  Refused up
+    front: over 10^5 direct terms, x below about 2^{-10^5}.
     """
     with mp.workdps(ctx.working_digits):
-        xv, g, _, b, big_c, _, _ = _dilate_kernel("g_direct", n, x)
-        est = (mp.log(big_c / (1 - mpf(2) ** (-b)), 2) + ctx.working_digits * mp.log(10, 2)) / b
-        need = int(mp.ceil(est - mp.log(xv, 2) - 1))
+        xv, kernel = _dilate_kernel("g_direct", n, x)
+        need = int(mp.ceil(_DIRECT_BITS - mp.log(xv, 2))) - 1
         if need > 100_000:
             raise ConvergenceError(f"g_direct needs {need} terms, over the cap of 100000")
-
-        def terms():
-            y = xv
-            while True:
-                y *= 2
-                yield g(y)
-
-        return _ratio_sum(terms(), lambda k, t: g(xv * 2 ** (k + 1)) / t, ctx, "g_direct")
+        total, y, k = mpf(0), xv, 0
+        while y < 2 ** (_DIRECT_BITS - 1):
+            y *= 2
+            total += kernel.f(y)
+            k += 1
+        far = _far_dilate(kernel, y, ctx, "g_direct")
+        return SeriesValue(wrap(total + far.value.value, ctx), far.tail_bound, k + far.terms_used)
 
 
 def g_expansion(n: int, x, ctx: PrecisionContext) -> SeriesValue:
@@ -548,13 +631,14 @@ def g_expansion(n: int, x, ctx: PrecisionContext) -> SeriesValue:
     Restricted to 0 < x < 1/2.  The power and the oscillating terms are two
     series, tails and counts summed, each stopped at the first term <=
     10^(-working digits) times its running sum with ratio bound rho < 1.
-    Power terms: rho = x, above every ratio; x^lam and 2^{-lam} are carried.
+    Power terms: rho = growth(j) x, which is x for g1 and g2 (see _kernel);
+    x^lam and 2^{-lam} are carried.
     |M(i w_{k+1})/M(i w_k)| <= r = 2 e^{-beta}, beta = 2 pi^2/ln 2, so the
     complex terms M(i w_k) x^{-i w_k} take rho = r, and their tail bounds the
     moduli of the dropped terms, not only their real parts.
     """
     with mp.workdps(ctx.working_digits):
-        xv, g, closed, _, _, lam, coef = _dilate_kernel("g_expansion", n, x)
+        xv, kernel = _dilate_kernel("g_expansion", n, x)
         if xv >= mpf(1) / 2:
             raise DomainError(
                 f"g_expansion restricted to x < 1/2 (geometric tail bound), got {mp.nstr(xv, 12)}"
@@ -565,15 +649,15 @@ def g_expansion(n: int, x, ctx: PrecisionContext) -> SeriesValue:
         turn = mp.expj(-w * mp.ln(xv))  # x^{-i w_1}
 
         def powers():
-            power, half = xv ** to_mpf(lam), mpf(2) ** -to_mpf(lam)
+            power, half = xv**kernel.lam, mpf(2) ** -kernel.lam
             for j in count():
-                yield coef(j) * power / (half - 1)
+                yield kernel.coef(j) * power / (half - 1)
                 power, half = power * xv, half / 2
 
-        power = _ratio_sum(powers(), lambda k, t: xv, ctx, "g_expansion")
-        osc = _ratio_sum((2 * closed(mp.mpc(0, k * w)) * turn**k / ln2 for k in count(1)),
+        power = _ratio_sum(powers(), lambda k, t: kernel.growth(k - 1) * xv, ctx, "g_expansion")
+        osc = _ratio_sum((2 * kernel.closed(mp.mpc(0, k * w)) * turn**k / ln2 for k in count(1)),
                          lambda k, t: r, ctx, "g_expansion")
-        value = (g(mpf(0)) * (-mpf(1) / 2 - mp.ln(xv) / ln2)
+        value = (kernel.f(mpf(0)) * (-mpf(1) / 2 - mp.ln(xv) / ln2)
                  + power.value.value + osc.value.value.real)
         tail = power.tail_bound.value + osc.tail_bound.value
         return SeriesValue(wrap(value, ctx), wrap(tail, ctx), power.terms_used + osc.terms_used)

@@ -231,35 +231,52 @@ class TestNodeCap:
             harmonic_factor_check("g1", Fraction(1, 2) - Fraction(1, 10**9), ctx30)
 
 
+def _plain_dilate(g, x):
+    """sum_{k>=1} g(2^k x) at the active precision, summed until a term is
+    below 10^-(dps + 5) of the sum: past x = 1 the terms fall at least
+    geometrically, at rate 2^-1/2 for g1, so the rest is below 4 terms."""
+    total, y = mpf(0), mpf(x)
+    while True:
+        y *= 2
+        t = g(y)
+        total += t
+        if y > 1 and t < mpf(10) ** -(mp.dps + 5) * total:
+            return total
+
+
 class TestDilateNodes:
     @pytest.mark.parametrize("kind", ["g1", "g2"])
     @pytest.mark.parametrize("steps_per_ln2, stride", [(2, 1), (8, 2)])
     def test_nodes_are_literal_partial_sums(self, kind, steps_per_ln2, stride):
-        # Every streamed F(e^{jh}) must equal the plain sum of g(2^k x) over
-        # the k whose node j + (k-1) ln2/h does not pass the right end, both
-        # for a first level (every node) and a later one (odd nodes only).
+        # Every streamed F(e^{jh}) must be the full sum of g(2^k x) over
+        # k >= 1, against a plain sum at +40 digits, both for a first level
+        # (every node) and a later one (odd nodes only), on the top ln 2 whose
+        # F comes from g's expansion at infinity as on the nodes below it.
         g = _g1 if kind == "g1" else _g2
-        top, bottom = 30 * steps_per_ln2 + 1, -60 * steps_per_ln2 + 1
-        with mp.workdps(45):
+        kernel, ctx = _kernel(kind), PrecisionContext(digits=30)
+        top = mellin_mod._DIRECT_BITS * steps_per_ln2 - (stride - 1)
+        bottom = -mellin_mod._DIRECT_BITS * steps_per_ln2 + (stride - 1)
+        with mp.workdps(ctx.working_digits):
             h = mp.ln(2) / steps_per_ln2
+            head = lambda x: mellin_mod._far_dilate(kernel, x, ctx, "test").value.value
             nodes = {j: value for j, _, value, _ in
-                     _dilate_nodes(g, mpf(1) / 4, h, top, bottom, stride, steps_per_ln2 // stride)}
-            last_window = range(top, top - steps_per_ln2, -stride)
-            inner = (top - 3 * steps_per_ln2, top - 20 * steps_per_ln2 - stride, bottom)
-            for j in (*last_window, *inner):
-                x = mp.exp(j * h)
-                literal = mpf(0)
-                for k in range(1, (top - j) // steps_per_ln2 + 2):
-                    literal += g(2**k * x)
-                assert abs(nodes[j] - literal) < mpf(10) ** (-40) * max(1, abs(literal))
+                     _dilate_nodes(g, g(mpf(0)), mpf(1) / 4, h, top, bottom, stride,
+                                   steps_per_ln2 // stride, head)}
+            assert len(nodes) == (top - bottom) // stride + 1
+        head_window = range(top, top - steps_per_ln2, -stride)
+        inner = (top - 3 * steps_per_ln2, top - 20 * steps_per_ln2 - stride, -1, bottom)
+        for j in (*head_window, *inner):
+            with mp.workdps(ctx.working_digits + 40):
+                full = _plain_dilate(g, mp.exp(j * mp.ln(2) / steps_per_ln2))
+            assert abs(nodes[j] - full) < mpf(10) ** (-40) * max(1, abs(full))
 
 
 def _record_levels(monkeypatch):
     """Wrap _dilate_nodes so each level's arguments and nodes are kept."""
     levels = []
 
-    def recorded(g, s, h, top, bottom, stride, period):
-        nodes = list(_dilate_nodes(g, s, h, top, bottom, stride, period))
+    def recorded(g, g0, s, h, top, bottom, stride, period, head):
+        nodes = list(_dilate_nodes(g, g0, s, h, top, bottom, stride, period, head))
         levels.append(((s, h, stride, period), nodes))
         return iter(nodes)
 
@@ -269,43 +286,53 @@ def _record_levels(monkeypatch):
 
 class TestCarriedExponentials:
     def test_longest_chain_matches_direct_exp(self, monkeypatch):
-        # Each level's top node heads a chain of ~span/ln 2 nodes (~2.9e3
-        # here) whose x is halved and x^s multiplied by 2^-s at every step;
-        # neither may drift from mp.exp by more than 10^6 roundings.
+        # Each node of a level's top ln 2 heads a chain of nodes ln 2 apart
+        # across the direct region 2^-27 <= x <= 2^27 (55 on the first level,
+        # 54 of odd index on the later ones), whose x is halved
+        # and x^s multiplied by 2^-s at every step; neither may drift from
+        # mp.exp by more than 10^6 roundings.
         ctx = PrecisionContext(digits=60)
         levels = _record_levels(monkeypatch)
         harmonic_factor_check("g1", Fraction(1, 8), ctx)
-        assert len(levels) >= 3
+        assert len(levels) == 3
         with mp.workdps(ctx.working_digits):
             tol = mpf(10) ** (-(ctx.working_digits - 6))
             for (s, h, stride, period), nodes in levels:
                 chain = nodes[::period]
-                assert len(chain) > 2500
+                assert len(chain) == (55 if stride == 1 else 54)
                 for j, x, _, weight in chain:
                     assert abs(x / mp.exp(j * h) - 1) < tol
                     assert abs(weight / mp.exp(s * j * h) - 1) < tol
 
     def test_exp_calls_per_level_not_per_node(self, ctx30, monkeypatch):
-        # Only the chain heads, the first ln 2 of a level, call exp (two
-        # each, for x and x^s), 2 heads on each of the two levels, and the
-        # strip bound one per level.
+        # Only the chain heads, the top ln 2 of a level, call exp (two each,
+        # for x and x^s), 2 heads on each of the two levels; the strip bound
+        # calls one per level, the right end two plus one per term of its
+        # stream, and 1 - 2^-s one.
         exp_calls = []
         real_exp = mp.exp
         monkeypatch.setattr(mp, "exp", lambda z: exp_calls.append(z) or real_exp(z))
         levels = _record_levels(monkeypatch)
         harmonic_factor_check("g2", Fraction(1, 4), ctx30)
         assert len(levels) == 2
-        assert sum(len(level) for _, level in levels) == 3663
-        assert len(exp_calls) <= 8 * len(levels)
+        assert [len(level) for _, level in levels] == [109, 108]
+        assert len(exp_calls) <= 29
+
+
+def _in_direct_region(x):
+    """1 <= x <= 2^27 up to the rounding of the carried x."""
+    with mp.workdps(60):
+        return 1 - mpf(10) ** -40 < x < 2**27 * (1 + mpf(10) ** -40)
 
 
 class TestHarmonicFactor:
-    # The fn cells need the dilate sum's own left decay rate s: with fn's
-    # s + (n-2)/2 the left cutoff drops a bounded log-periodic F.
+    # fn7 at s = 1/8 has most of its dilate sum's transform far left, where
+    # F tends to a bounded log-periodic function while fn7 itself decays at
+    # rate s + 5/2: the left end must carry F, not fn7.
     @pytest.mark.parametrize("fid, s, digits", [
         *[(fid, s, 30) for fid in ("g1", "g2") for s in ("1/8", "1/4", "3/8")],
         ("g1", "1/8", 60),
-        ("fn3", "1/8", 30), ("fn4", "1/4", 30), ("fn7", "3/8", 30),
+        ("fn3", "1/8", 30), ("fn4", "1/4", 30), ("fn7", "3/8", 30), ("fn7", "1/8", 30),
     ])
     def test_matches_closed_form(self, fid, s, digits):
         err = harmonic_factor_check(fid, Fraction(s), PrecisionContext(digits=digits)).abs_err
@@ -316,30 +343,26 @@ class TestHarmonicFactor:
         with pytest.raises(DomainError):
             harmonic_factor_check("g1", Fraction(1, 2), ctx30)
 
-    def test_dilate_left_cutoff_is_fs_own(self, ctx30):
-        # fn7(e^t) e^{st} decays at rate s + 5/2 to the left, its dilate sum
-        # only at rate s, as g2's does: anything shorter drops part of F
-        with mp.workdps(ctx30.working_digits):
-            s = mpf(1) / 4
-            fn7 = mellin_mod._exp_axis("fn7", s, ctx30, mpf(1), dilate=True)[1]
-            assert fn7 == mellin_mod._exp_axis("g2", s, ctx30, mpf(1), dilate=True)[1]
-            assert fn7 < 2 * mellin_mod._exp_axis("fn7", s, ctx30, mpf(1))[1]
-
     def test_g1_stops_on_strip_bound(self, ctx30, monkeypatch):
         # the strip bound accepts the level that the difference of two levels
-        # could only confirm with one more halving, and the span is
-        # symmetric about t = 0: g is called at t >= 0 only, plus g(0) once
-        # per level, half as often as at the 5465 nodes
+        # could only confirm with one more halving, and g is called only on
+        # the direct region 2^-27 <= x <= 2^27, the ends coming from its
+        # expansion, and only at x >= 1 there (a node's mirror gives the
+        # rest), plus g(0) once: 110 calls on two levels
         calls = _counted(monkeypatch, "_g1")
         harmonic_factor_check("g1", Fraction(1, 4), ctx30)
-        assert len(calls) <= 2739
+        assert len(calls) <= 150
+        assert calls.count(0) == 1
+        assert all(_in_direct_region(x) for x in calls if x != 0)
 
     def test_g2_reuses_mirror_nodes(self, ctx30, monkeypatch):
-        # g2's span reaches three times as far left as right: only the nodes
-        # left of t = 0 whose mirror lies inside the grid are spared a call
+        # the direct region is symmetric about x = 1, so every node left of
+        # it takes its g from its mirror: as for g1, 110 calls
         calls = _counted(monkeypatch, "_g2")
         harmonic_factor_check("g2", Fraction(1, 4), ctx30)
-        assert len(calls) <= 2731
+        assert len(calls) <= 150
+        assert calls.count(0) == 1
+        assert all(_in_direct_region(x) for x in calls if x != 0)
 
     @pytest.mark.parametrize("fid", ["fn120", "fn200"])
     @pytest.mark.parametrize("s", ["1/8", "1/4"])
@@ -354,6 +377,23 @@ class TestHarmonicFactor:
             ref = _closed_reference(fid, sv)
             err = check.abs_err.value + abs(closed.value - ref) / (2**sv - 1)
             assert err <= mpf(10) ** (-ctx30.digits) * abs(ref / (2**sv - 1))
+
+    @given(fid=st.sampled_from(["g1", "g2", *(f"fn{n}" for n in range(3, 61))]),
+           step=st.integers(min_value=2, max_value=98), digits=st.integers(20, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_any_cell_holds_its_digits(self, fid, step, digits):
+        # s = step/100 of each strip (0, 1/2) or (0, 1), kept off the edges
+        # that _exp_axis refuses; against the Gamma form at +40 digits, to
+        # 10^-digits of the dilate sum's transform
+        s = Fraction(step, 100) * (1 if fid == "g2" else Fraction(1, 2))
+        ctx = PrecisionContext(digits=digits)
+        check = harmonic_factor_check(fid, s, ctx)
+        closed = mellin_closed(fid, s, ctx)
+        with mp.workdps(ctx.working_digits + 40):
+            sv = mpf(s.numerator) / s.denominator
+            ref = _closed_reference(fid, sv) / (2**sv - 1)
+            err = check.abs_err.value + abs(closed.value / (2**sv - 1) - ref)
+            assert err <= mpf(10) ** (-digits) * abs(ref)
 
 
 def _majorant(function_id, x):
@@ -395,12 +435,12 @@ class TestStripBound:
     @pytest.mark.parametrize("s", ["1/8", "1/4", "3/8"])
     def test_bound_covers_first_level(self, fid, s, ctx30, monkeypatch):
         # the first level, step ln2/2, against the Gamma form at +40 digits;
-        # its error ~1e-23 is far above the cutoffs' and the rounding
+        # its error ~1e-23 is far above the rounding and the ends' streams
         seen = []
 
         def first_level(values, n, h, tol, bound):
-            level = list(values(n, h, range(n + 1)))
-            seen.append(((sum(level) - (level[0] + level[-1]) / 2) * h, bound(h)))
+            # an infinite sum, its ends closed in values: no node is halved
+            seen.append((sum(values(n, h, range(n + 1))) * h, bound(h)))
             return seen[-1][0]
 
         monkeypatch.setattr(mellin_mod, "_refine_trapezoid", first_level)
@@ -431,24 +471,17 @@ class TestDualRoutes:
     @pytest.mark.parametrize("n,x,digits", [(1, "0.1", 200), (1, "1e-30", 30), (1, "1e8", 30),
                                             (2, "0.45", 200), (2, "1e-30", 30), (2, "1e50", 30)])
     def test_direct_stops_at_first_k_under_tol(self, n, x, digits):
-        # reference: the plain loop that tests every term g(y), y = 2^k x,
-        # against the running sum, then its ratio bound rho = g(2y)/g(y)
+        # against the plain sum of g(2^k x) at +40 digits: the value holds
+        # digits + 10 of its own size, and is off by no more than its tail
+        # bound plus one rounding per term
         ctx = PrecisionContext(digits=digits)
         got = g_direct(n, x, ctx)
-        g = _g1 if n == 1 else _g2
-        with mp.workdps(ctx.working_digits):
-            tol = mpf(10) ** (-ctx.working_digits)
-            total, y, k = mpf(0), mpf(x), 0
-            while True:
-                y *= 2
-                k += 1
-                t = g(y)
-                total += t
-                if t <= tol * total and g(2 * y) / t < 1:
-                    break
-            rho = g(2 * y) / t
-            assert (got.value.value, got.tail_bound.value, got.terms_used) == (
-                total, t * rho / (1 - rho), k)
+        with mp.workdps(ctx.working_digits + 40):
+            full = _plain_dilate(_g1 if n == 1 else _g2, mpf(x))
+            err = abs(got.value.value - full)
+            assert err <= mpf(10) ** (-(digits + 10)) * full
+            rounding = got.terms_used * mpf(10) ** -ctx.working_digits * full
+            assert err <= got.tail_bound.value + rounding
 
     @pytest.mark.parametrize("n,x", [(2, "1e50"), (1, "1e50"), (2, "1e20")])
     def test_direct_relative_at_large_x(self, n, x, ctx30):
@@ -469,14 +502,24 @@ class TestDualRoutes:
     @pytest.mark.parametrize("n,x", [(1, "1e-30"), (1, "0.45"), (1, "1e50"), (2, "0.1"),
                                      (2, "1e50")])
     def test_direct_tail_bound_covers_truncation(self, n, x, ctx30):
-        # the terms past terms_used, up to where a +40-digit run stops,
-        # summed at +40 digits, must sum to at most the reported tail bound
+        # g_direct sums g(2^k x) while 2^k x < 2^27, then F(y), y the last
+        # point summed, as -sum_j a_j y^-(lam + j)/(2^(lam + j) - 1): the moduli
+        # of the power terms past those it used, rebuilt at +40 digits from
+        # the expansions of g1 (atan's) and g2 (the geometric series), sum to
+        # at most its tail bound
         got = g_direct(n, x, ctx30)
-        fine = PrecisionContext(digits=ctx30.digits + 40)
-        stop = g_direct(n, x, fine).terms_used
-        with mp.workdps(fine.working_digits):
-            ys = [mp.ldexp(mpf(x), k) for k in range(got.terms_used + 1, stop + 1)]
-            dropped = sum(2 * mp.atan(1 / mp.sqrt(y)) if n == 1 else 1 / (1 + y) for y in ys)
+        with mp.workdps(ctx30.working_digits + 40):
+            y, direct = mpf(x), 0
+            while y < 2**26:
+                y, direct = 2 * y, direct + 1
+            lam = mpf(1) / 2 if n == 1 else mpf(1)
+
+            def term(j):
+                a = -2 * (-1) ** j / mpf(2 * j + 1) if n == 1 else (-1) ** (j + 1)
+                return a * y ** -(lam + j) / (2 ** (lam + j) - 1)
+
+            used = got.terms_used - direct
+            dropped = sum(abs(term(j)) for j in range(used, used + 40))
             assert 0 < dropped <= got.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
 
     @pytest.mark.parametrize("n,x", [(1, "0.45"), (1, "1e-30"), (2, "0.3"), (2, "0.1")])
@@ -582,6 +625,37 @@ class TestKernelSymmetry:
     def test_fn_vanishes_at_one(self):
         with mp.workdps(40):
             assert _fn(5, mpf(1)) == 0
+
+
+class TestKernelExpansion:
+    # f(x) = f(0) + sum_j a_j x^(lam + j) for x < 1 and, by the reflection,
+    # f(y) = -sum_j a_j y^-(lam + j) for y > 1: each side against f itself
+
+    @pytest.mark.parametrize("fid", ["g1", "g2", "fn3", "fn4", "fn7", "fn20", "fn120"])
+    def test_series_at_zero_and_infinity(self, fid):
+        # at y = 1/x the terms a_j y^-(lam + j) are the a_j x^(lam + j) at 0
+        kernel = _kernel(fid)
+        with mp.workdps(60):
+            f0 = kernel.f(mpf(0))
+            for x in (mpf(2) ** -27, mpf(2) ** -8):
+                total, j = mpf(0), 0
+                while True:
+                    t = kernel.coef(j) * x ** (kernel.lam + j)
+                    total += t
+                    j += 1
+                    if j > 10 and abs(t) < mpf(10) ** -70 * abs(total):
+                        break
+                for got, direct in ((total, kernel.f(x) - f0), (-total, kernel.f(1 / x))):
+                    assert abs(got - direct) <= mpf(10) ** -55 * abs(direct)
+
+    @pytest.mark.parametrize("fid", ["g1", "g2", "fn3", "fn4", "fn7", "fn20", "fn120"])
+    def test_growth_bounds_later_coefficient_ratios(self, fid):
+        # growth(j) bounds |a_(i+1)/a_i| for every i >= j, over 300 terms
+        kernel = _kernel(fid)
+        with mp.workdps(60):
+            ratios = [abs(mpf(kernel.coef(i + 1)) / kernel.coef(i)) for i in range(300)]
+            for j in range(299):
+                assert max(ratios[j:]) <= kernel.growth(j)
 
 
 class TestLemma:
