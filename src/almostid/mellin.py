@@ -1,44 +1,38 @@
 """Mellin-transform verification: quadrature vs closed forms, dual expansions.
 
 Routes verified against each other:
-  * mellin_numeric  - direct integration of f(x) x^{s-1} after x = e^t and
-    the double-exponential map t = sinh u, folded at x = 1
+  * mellin_numeric  - the trapezoid rule for f(x) x^{s-1} along x = e^t,
+    folded at x = 1, summed directly up to 2^K and in closed form past it
   * mellin_closed   - the trigonometric closed forms on the real axis
   * harmonic_factor_check - the transform of F(x) = sum_{k>=1} g(2^k x), built
     node by node from F(x) = g(2x) + F(2x) on 2^-K <= x <= 2^K and in closed
-    form past both ends, against closed/(2^s - 1), its step halved until the
-    strip bound is within tolerance
+    form past both ends, against closed/(2^s - 1)
   * g_direct vs g_expansion - the dilate sums of g1 and g2, summed directly
-    up to 2^K and from g's expansion at infinity past it, and as the residue
-    sum of closed(s) x^{-s}/(2^s - 1), with the closed transform of _kernel
-    read at complex s; _ratio_sum's rule stops each series, with rho
-    growth(j)/(2y) (expansion at infinity), growth(j) x (power) or
+    on 2^-K <= 2^k x < 2^K and from g's expansions past both ends, and as
+    the residue sum of closed(s) x^{-s}/(2^s - 1), with the closed transform
+    of _kernel read at complex s; _ratio_sum's rule stops each series, with
+    rho growth(j)/y (expansion at infinity), growth(j) x (at 0) or
     2 e^{-2 pi^2/ln 2} (oscillating)
   * lemma_check     - the antiderivative identity via finite differences
 
-All integrands become analytic and exponentially decaying in both directions
-after x = e^t, where the trapezoid rule converges geometrically; t = sinh u
-makes the decay of the transform integrand double-exponential, which shrinks
-its grid from thousands of nodes to a few hundred.  One trapezoid rule,
-_refine_trapezoid, serves both quadratures: it asks each level for its
-terms, keeps the running sum, and halves the step until the newest level is
-within tolerance; each use weighs its own terms.  The harmonic check stops
-on the trapezoid rule's strip bound, a proved bound of the discretization
-error of the infinite sum relative to the estimate; mellin_numeric stops
-when two levels, or their digit-doubling extrapolation, agree.  _kernel is
-the one table of each function's f, closed transform, strip, expansion at 0
-and complex majorant.  Every f obeys the reflection f(x) + f(1/x) = f(0)
-(see _kernel), and both quadratures call f at x >= 1 only: mellin_numeric
-folds its integrand at x = 1, and the harmonic check takes each g left of
-x = 1 from its mirror node's (see _dilate_nodes).  The expansion gives the
-harmonic check's infinite sums both ends, and g_direct its right one
-(see _far_dilate).
+All integrands become analytic in the strip |Im t| < pi after x = e^t,
+where the trapezoid rule converges geometrically.  One trapezoid rule,
+_refine_trapezoid, serves both quadratures: each level, of step ln2/2,
+ln2/4, ..., is an infinite sum over t whose kernel calls lie on
+|t| <= K ln 2, K = _DIRECT_BITS, the rest closed from _kernel's expansions,
+and the step is halved until the strip bound (_strip_bound) is within
+tolerance of the estimate.  _kernel is the one table of each function's f,
+closed transform, strip, expansion at 0 and complex majorant.  Every f obeys
+the reflection f(x) + f(1/x) = f(0), and both quadratures call f at x >= 1
+only: mellin_numeric folds its integrand at x = 1, and the harmonic check
+takes each g left of x = 1 from its mirror node's (see _dilate_nodes).
 
 Grid abscissae are fixed multiples of one another, so most exponentials are
-carried instead of called: mellin_numeric carries e^u from node to node of a
-level, and the harmonic check halves x and multiplies e^{st} by 2^{-s} along
-each chain of nodes ln 2 apart.  The rounding this adds stays within the
-guard digits (see _dilate_nodes and mellin_numeric).
+carried instead of called: mellin_numeric multiplies x and x^s by one factor
+each from node to node of a level, and the harmonic check halves x and
+multiplies x^s by 2^{-s} along each chain of nodes ln 2 apart.  The rounding
+this adds stays within the guard digits (see _dilate_nodes and
+mellin_numeric).
 """
 
 from __future__ import annotations
@@ -60,17 +54,14 @@ FUNCTION_GRID = ("g1", "g2", "fn3", "fn4", "fn5", "fn6", "fn7")
 
 _FN_RE = re.compile(r"^fn(\d+)$")
 
-# first trapezoid step of mellin_numeric (in u), and the cap on the number of
-# steps of that size the rate-bound span in t may take
-_STEP = mpf("0.5")
-_MAX_NODES = 10**5
-# the harmonic check and g_direct call g on 2^-K <= x <= 2^K only, K = _DIRECT_BITS;
-# past that the expansions of _kernel close both ends to working precision
+# both quadratures and g_direct call their kernel on 2^-K <= x <= 2^K only,
+# K = _DIRECT_BITS; past that the expansions of _kernel close both ends to
+# working precision
 _DIRECT_BITS = 27
+# the cap on the rate-bound span in t of either quadrature (see _exp_axis)
+_MAX_SPAN = 5 * 10**4
 # halvings _refine_trapezoid makes past its first level before giving up
 _MAX_LEVELS = 14
-# factor by which _refine_trapezoid inflates its digit-doubling error estimate
-_DOUBLING_SAFETY = 10**3
 
 
 @dataclass(frozen=True)
@@ -250,128 +241,132 @@ def _check_strip(function_id, s):
     return kernel
 
 
-def _refine_trapezoid(values, n, h, tol, bound=None):
-    """Trapezoid rule with step halving until the newest estimate is within tol.
+def _strip_bound(m0, c):
+    """bound(h) of the infinite trapezoid sum of step h for an integrand
+    analytic in |Im t| < pi whose integral along each line Im t = y,
+    |y| <= a, is at most M = m0/cos(a/2)^c in modulus: the sum is within
+    2M/(e^{2 pi a/h} - 1) of the integral for every 0 < a < pi (Trefethen
+    and Weideman, SIAM Review 56, 2014, Thm 5.1), and a = 2 atan(4 pi/(c h))
+    minimises that but for its -1."""
 
-    ``values(n, h, indices)`` yields the terms of one level's sum, in
-    whatever variable the use integrates over, for the nodes of step h whose
-    indices, out of 0..n, are in the range ``indices``; it may run that range
-    in either direction, and it weighs the terms itself (halved ends, or
-    closed-form sums past them).  The first level asks for every node, every
-    later level only for the odd midpoints, and one running sum of the
-    terms, times h, is the estimate.
+    def bound(h):
+        a = 2 * mp.atan(4 * mp.pi / (c * h))
+        return 2 * m0 / (mp.cos(a / 2) ** c * (mp.exp(2 * mp.pi * a / h) - 1))
 
-    With ``bound``, a proved bound(h) on the discretization error at step h
-    (see harmonic_factor_check), the first level I_h with
-    bound(h) <= tol |I_h| is accepted, and no level is compared with another.
+    return bound
 
-    Without it the stop is an estimate.  Every substituted integrand here is
-    analytic in a strip around the real line, where the trapezoid error
-    falls like e^{-c/h}: each halving about doubles the correct digits.  So
-    with d_k = |I_k - I_{k-1}|, which is about the error of I_{k-1}, the
-    error of I_k is about d_k^2 / d_{k-1} (the digit-doubling estimate of
-    Bailey, Jeyabalan and Li, Exp. Math. 2005).  A level is accepted when
-    d_k < tol, or when _DOUBLING_SAFETY * d_k^2 / d_{k-1} < tol; the second
-    rule saves the last, confirming halving, which holds half of all nodes.
 
-    Past _MAX_LEVELS halvings it raises ConvergenceError.
+def _refine_trapezoid(values, n, h, tol, bound):
+    """Trapezoid rule with step halving until bound(h) <= tol |I_h|.
+
+    ``values(n, h, indices)`` yields the terms of one level's sum for the
+    nodes of step h whose indices, out of 0..n, are in the range
+    ``indices``; it may run that range in either direction, weighs the terms
+    itself and adds the closed-form sums of the nodes past them.  The first
+    level asks for every node, every later level only for the odd midpoints,
+    and one running sum of the terms, times h, is the estimate I_h.
+    ``bound(h)`` is a proved bound of the discretization error at step h
+    (see _strip_bound), so no level is compared with another.  Past
+    _MAX_LEVELS halvings it raises ConvergenceError.
     """
-
-    def levels(n, h):
-        acc = sum(values(n, h, range(n + 1)), mpf(0))
-        yield h, acc * h
-        for _ in range(_MAX_LEVELS):
-            n, h = 2 * n, h / 2
-            acc += sum(values(n, h, range(1, n, 2)), mpf(0))
-            yield h, acc * h
-
-    estimate = prev = None
-    for step, new in levels(n, h):
-        if bound is not None:
-            if bound(step) <= tol * abs(new):
-                return new
-        elif estimate is not None:
-            delta = abs(new - estimate)
-            if delta < tol or (prev is not None and _DOUBLING_SAFETY * delta**2 < tol * prev):
-                return new
-            prev = delta
-        estimate = new
-    raise ConvergenceError("trapezoid refinement did not stabilize before the level cap")
+    acc, indices = mpf(0), range(n + 1)
+    for _ in range(_MAX_LEVELS + 1):
+        acc += sum(values(n, h, indices), mpf(0))
+        if bound(h) <= tol * abs(acc * h):
+            return acc * h
+        n, h = 2 * n, h / 2
+        indices = range(1, n, 2)
+    raise ConvergenceError("trapezoid refinement did not meet its bound before the level cap")
 
 
-def _exp_axis(function_id, s, ctx, step):
-    """The _Kernel of function_id, f(0), the cutoffs t_left < t_right of
-    f(e^t) e^{st} at the decay rates of _kernel's expansions, and the
-    agreement tolerance.
+def _exp_axis(function_id, s, ctx):
+    """The _Kernel of function_id, f(0) and the tolerance of both
+    quadratures, relative to their estimate.
 
     The one rule that refuses s near an edge of the strip, in both
-    quadratures: a span t_right - t_left of more than _MAX_NODES steps of
-    ``step`` is a DomainError.  For mellin_numeric that span is its grid.
-    The harmonic check has no cutoffs, but its slow rates are the same:
-    where f(0) != 0 the left rate s is that of 2^{-s} -> 1 in the left
-    tail's factors 1/(1 - 2^{-s}), the right rate lam - s that of
-    e^{-(lam - s) H} -> 1 in the right tail's, and M~(s) of its strip bound
-    blows up at both (see harmonic_factor_check).
+    quadratures.  f(e^t) e^{st} decays to the left at rate s where
+    f(0) != 0 and s + lam where f(0) = 0, and to the right at rate lam - s
+    (see _kernel); a span in t over _MAX_SPAN for both rates to take it down
+    to 10^-(digits + 10), with 25 e-folds to spare, is a DomainError.
+    Neither quadrature cuts its sum there, but at the slow rates the factors
+    1/(1 - e^{-rate H}) of their closed-form ends and M~(s) of their strip
+    bound blow up.
     """
     kernel = _check_strip(function_id, s)
     f0 = kernel.f(mpf(0))
-    a, b = (0 if f0 else kernel.lam), kernel.lam
-    # cutoffs sized so the dropped tails sit far below the agreement target;
-    # the +25 absorbs constant and slowly-varying (logarithmic) prefactors
-    target_exp = (ctx.digits + 10) * mp.ln(10)
-    t_left = -((target_exp + 25) / (s + a) + 5)
-    t_right = (target_exp + 25) / (b - s) + 5
-    nodes = (t_right - t_left) / step
-    if nodes > _MAX_NODES:
+    decay = (ctx.digits + 10) * mp.ln(10) + 25
+    span = decay / (s + (0 if f0 else kernel.lam)) + decay / (kernel.lam - s) + 10
+    if span > _MAX_SPAN:
         raise DomainError(
             f"s = {mp.nstr(s, 12)} is too near an edge of the strip (0.0, "
-            f"{mp.nstr(kernel.hi, 6)}) of {function_id}: its rate-bound span in t would take "
-            f"{mp.nstr(nodes, 3)} steps of {mp.nstr(step, 3)}, over the cap of {_MAX_NODES}"
+            f"{mp.nstr(kernel.hi, 6)}) of {function_id}: its rate-bound span in t would be "
+            f"{mp.nstr(span, 3)}, over the cap of {_MAX_SPAN}"
         )
-    return kernel, f0, t_left, t_right, mpf(10) ** (-(ctx.digits + 5))
+    return kernel, f0, mpf(10) ** (-(ctx.digits + 5))
+
+
+def _far_end(kernel, y, weight, ctx, name):
+    """-sum_{j>=0} a_j y^{-mu_j} weight(mu_j), mu_j = lam + j, at y > 1: f(y)
+    from its expansion at infinity (see _kernel), each power weighed.  One
+    _ratio_sum stream: |a_{i+1}/a_i| <= growth(j) for i >= j and the weights
+    must not grow with mu, so rho = growth(j)/y."""
+
+    def terms():
+        power = y**-kernel.lam
+        for j in count():
+            yield -kernel.coef(j) * power * weight(kernel.lam + j)
+            power /= y
+
+    return _ratio_sum(terms(), lambda k, t: kernel.growth(k - 1) / y, ctx, name)
 
 
 def mellin_numeric(function_id: str, s, ctx: PrecisionContext) -> BigReal:
-    """Quadrature of the transform integral along x = e^t, t = sinh u,
-    folded at x = 1.
+    """Quadrature of the transform integral along x = e^t, folded at x = 1.
 
-    The rate-bound cutoffs t_left < t_right become |u| <= U =
-    asinh(max(-t_left, t_right)), where f(e^{sinh u}) e^{s sinh u} cosh u
-    decays double-exponentially, so the trapezoid grid in u needs a few
-    hundred nodes where one in t over the same span needs thousands.  By
-    _kernel's reflection f(1/x) = f(0) - f(x), the integrand at -u and at u
-    add up to psi(u) = cosh u [f(x) x^s + (f(0) - f(x)) x^{-s}], x =
-    e^{sinh u}, and the trapezoid rule for psi on [0, U], ends halved, is
-    the symmetric rule for the integrand on [-U, U].  f is only called at
-    x >= 1, where f(0) - f(x) does not cancel.  Along each level e^u is
-    carried from node to node: one exp at the level's first node, then one
-    product by e^{stride h} per node, with sinh u and cosh u taken as
-    (e^u -+ e^{-u})/2.  That leaves two exps per node pair, e^t and e^{st},
-    plus what f itself calls.
+    By _kernel's reflection f(1/x) = f(0) - f(x), the trapezoid sum of
+    f(e^t) e^{st} over t = i h, i in Z, is h times f(1) = f(0)/2, which
+    costs no call, plus sum_{i>=1} [f(x) x^s + (f(0) - f(x)) x^{-s}],
+    x = e^{ih}.  Each level, of step ln2/2, ln2/4, ..., calls f on
+    1 < x <= 2^K only, K = _DIRECT_BITS, and carries x and x^s from node to
+    node by one product each.  The nodes t_1 + m H, m >= 0, past 2^K add,
+    from f(y) = -sum_j a_j y^{-mu_j}, mu_j = lam + j,
+
+      f(0) e^{-s t_1}/(1 - e^{-sH})
+        - sum_j a_j [e^{(s - mu_j) t_1}/(1 - e^{(s - mu_j) H})
+                     - e^{-(s + mu_j) t_1}/(1 - e^{-(s + mu_j) H})],
+
+    the sum over j one _far_end stream; its weights, the brackets over
+    e^{-mu_j t_1}, fall with mu, as the first fraction falls faster.  The
+    strip bound (see _strip_bound) stops the refinement with
+    M = M~(s)/cos(a/2)^c, _kernel's majorant.  s near an edge of the strip
+    is refused up front (see _exp_axis).
     """
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
-        kernel, f0, t_left, t_right, tol = _exp_axis(function_id, sv, ctx, _STEP)
+        kernel, f0, tol = _exp_axis(function_id, sv, ctx)
         f = kernel.f
-        u_top = mp.asinh(max(-t_left, t_right))
 
         def values(n, h, indices):
-            # e^u drifts by about one rounding per node, relative: log10 of the
-            # level's node count in digits (3 at the ~10^3 nodes of a 200-digit
-            # level) of the 15 guard digits.  A direct j h is itself off by up
-            # to u <= 12 roundings.
-            e = mp.exp(indices.start * h)
-            ratio = mp.exp(indices.step * h)
+            # x and x^s drift by one rounding per node: 2 to 3 guard digits
+            step = indices.step * h
+            x, w = mp.exp(indices.start * h), mp.exp(sv * indices.start * h)
+            ratio, w_ratio = mp.exp(step), mp.exp(sv * step)
             for i in indices:
-                inv = 1 / e
-                t = (e - inv) / 2
-                fx, w = f(mp.exp(t)), mp.exp(sv * t)
-                term = (fx * w + (f0 - fx) / w) * (e + inv) / 2
-                yield term / 2 if i in (0, n) else term
-                e *= ratio
+                if i:
+                    fx = f(x)
+                    yield fx * w + (f0 - fx) / w
+                else:
+                    yield f0 / 2
+                x, w = x * ratio, w * w_ratio
 
-        steps = max(8, int(mp.ceil(u_top / _STEP)))
-        return wrap(_refine_trapezoid(values, steps, u_top / steps, tol), ctx)
+            def weight(mu):  # x, w are now e^{t_1}, e^{s t_1}
+                return w / -mp.expm1((sv - mu) * step) - 1 / (w * -mp.expm1(-(sv + mu) * step))
+
+            far = _far_end(kernel, x, weight, ctx, "mellin_numeric")
+            yield f0 / (w * -mp.expm1(-sv * step)) + far.value.value
+
+        bound = _strip_bound(kernel.majorant(sv), kernel.c)
+        return wrap(_refine_trapezoid(values, 2 * _DIRECT_BITS, mp.ln(2) / 2, tol, bound), ctx)
 
 
 def mellin_closed(function_id: str, s, ctx: PrecisionContext) -> BigReal:
@@ -414,26 +409,10 @@ def mellin_check(function_id: str, s, ctx: PrecisionContext) -> MellinCheck:
 # dilate sums F(x) = sum_{k>=1} g(2^k x)
 
 
-def _far_dilate(kernel, y, ctx, name, weight=None):
-    """F(y) = sum_{k>=1} f(2^k y) at y > 1/2 from the expansion of f at
-    infinity (see _kernel): every 2^k y > 1, so summing over k gives
-
-      F(y) = -sum_{j>=0} a_j y^{-mu_j}/(2^{mu_j} - 1),  mu_j = lam + j,
-
-    each term times weight(mu_j) if a weight, non-increasing in mu, is given.
-    One _ratio_sum stream: |a_{i+1}/a_i| <= growth(j) for i >= j,
-    (2^mu - 1)/(2^{mu+1} - 1) < 1/2 and the weights do not grow, so
-    rho = growth(j)/(2y).  y^{-lam} and 2^lam are carried.
-    """
-
-    def terms():
-        power, two = y ** -kernel.lam, mpf(2) ** kernel.lam
-        for j in count():
-            term = -kernel.coef(j) * power / (two - 1)
-            yield term if weight is None else term * weight(kernel.lam + j)
-            power, two = power / y, 2 * two
-
-    return _ratio_sum(terms(), lambda k, t: kernel.growth(k - 1) / (2 * y), ctx, name)
+def _per_dilate(mu):
+    """1/(2^mu - 1) = sum_{k>=1} 2^{-k mu}: the _far_end weight that gives
+    F(y) = sum_{k>=1} f(2^k y) at y > 1."""
+    return 1 / (mpf(2) ** mu - 1)
 
 
 def _dilate_nodes(g, g0, s, h, top, bottom, stride, period, head):
@@ -495,10 +474,10 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> MellinC
       * In the region each node's F is g(2x) plus the F of the node ln 2 to
         its right, and its x and weight x^s are carried from that node too
         (see _dilate_nodes): past the region's top ln 2, whose F comes from
-        _far_dilate, a node costs only its g.
+        _far_end, a node costs only its g.
       * Right end: the nodes t_1 + m H, m >= 0, past the region add
         -sum_j a_j/(2^{mu_j} - 1) e^{-(mu_j - s) t_1}/(1 - e^{-(mu_j - s) H}),
-        mu_j = lam + j > s (_far_dilate with that weight).
+        mu_j = lam + j > s (_far_end, weighted by both fractions).
       * Left end: every node below the region is x/2^i, i >= 1, of a node x
         of the region's lowest ln 2, the window.  F(x/2^i) = F(x) +
         sum_{m<i} g(x/2^m), so with weights x^s q^i, q = 2^{-s}, the window
@@ -507,38 +486,31 @@ def harmonic_factor_check(function_id: str, s, ctx: PrecisionContext) -> MellinC
         terms, summed over the window, are one stream with rho = growth(j)
         times the window's largest x.
 
-    The refinement stops on a proved bound of the discretization error,
-    relative to the estimate (see _refine_trapezoid).  The integrand
-    F(e^t) e^{st} is analytic in |Im t| < pi, and there, by _kernel's
-    majorant applied term by term to F, its integral along each line
-    Im t = y, |y| <= a, is at most M = M~(s)/((2^s - 1) cos(a/2)^c).  The
-    infinite trapezoid sum of step h is then within 2M/(e^{2 pi a/h} - 1)
-    of the integral (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1),
-    and a = 2 atan(4 pi/(c h)) minimises that over 0 < a < pi.  s near an
-    edge of the strip is refused up front (see _exp_axis).
+    The refinement stops on the strip bound (see _strip_bound), relative to
+    the estimate.  The integrand F(e^t) e^{st} is analytic in |Im t| < pi,
+    and there, by _kernel's majorant applied term by term to F, its integral
+    along each line Im t = y, |y| <= a, is at most
+    M = M~(s)/((2^s - 1) cos(a/2)^c).  s near an edge of the strip is
+    refused up front (see _exp_axis).
     """
     name = "harmonic_factor_check"
     with mp.workdps(ctx.working_digits):
         sv = to_mpf(s)
         h0 = mp.ln(2) / 2
-        kernel, g0, _, _, tol = _exp_axis(function_id, sv, ctx, h0)
-        g, c, lam = kernel.f, kernel.c, kernel.lam
+        kernel, g0, tol = _exp_axis(function_id, sv, ctx)
+        g, lam = kernel.f, kernel.lam
         q = mpf(2) ** -sv
         rest = -mp.expm1(-sv * mp.ln(2))  # 1 - q, without its cancellation at small s
-        m0 = kernel.majorant(sv) / (mpf(2) ** sv - 1)  # M at a = 0
-
-        def bound(h):
-            a = 2 * mp.atan(4 * mp.pi / (c * h))
-            return 2 * m0 / (mp.cos(a / 2) ** c * (mp.exp(2 * mp.pi * a / h) - 1))
+        bound = _strip_bound(kernel.majorant(sv) / (mpf(2) ** sv - 1), kernel.c)
 
         def head(x):
-            return _far_dilate(kernel, x, ctx, name).value.value
+            return _far_end(kernel, x, _per_dilate, ctx, name).value.value
 
         def right_end(t1, step):
             def weight(mu):
-                return 1 / -mp.expm1((sv - mu) * step)
+                return _per_dilate(mu) / -mp.expm1((sv - mu) * step)
 
-            far = _far_dilate(kernel, mp.exp(t1), ctx, name, weight)
+            far = _far_end(kernel, mp.exp(t1), weight, ctx, name)
             return mp.exp(sv * t1) * far.value.value
 
         def left_end(window):
@@ -592,24 +564,39 @@ def _dilate_kernel(route, n, x):
 def g_direct(n: int, x, ctx: PrecisionContext) -> SeriesValue:
     """Direct dilate sum F(x) = sum_{k>=1} g_n(2^k x), n = 1 or 2.
 
-    g_n(2^k x) is summed while 2^k x < 2^K, K = _DIRECT_BITS; the rest is
-    F(y) at y = 2^k x >= 2^{K-1}, the last point summed (or x itself), from
-    g_n's expansion at infinity (see _far_dilate).  Its tail bound and
-    terms are the ones reported, plus one term per g_n summed.  Refused up
-    front: over 10^5 direct terms, x below about 2^{-10^5}.
+    g_n is called only on 2^-K <= 2^k x < 2^K, K = _DIRECT_BITS.  The k_0
+    points 2^k x < 2^-K, read off x's binary exponent, add
+    k_0 g_n(0) + sum_j a_j z^{mu_j} (1 - 2^{-k_0 mu_j})/(1 - 2^{-mu_j}),
+    z = 2^{k_0} x, mu_j = lam + j (see _kernel), one _ratio_sum stream with
+    rho = growth(j) z, as the partial geometric sums fall with mu.  Past the
+    last point summed, y = 2^k x >= 2^{K-1} (or x itself), F(y) comes from
+    _far_end.  The streams' tail bounds and terms are the ones reported,
+    plus one term per g_n summed.
     """
     with mp.workdps(ctx.working_digits):
         xv, kernel = _dilate_kernel("g_direct", n, x)
-        need = int(mp.ceil(_DIRECT_BITS - mp.log(xv, 2))) - 1
-        if need > 100_000:
-            raise ConvergenceError(f"g_direct needs {need} terms, over the cap of 100000")
-        total, y, k = mpf(0), xv, 0
+        total, tail, k, y = mpf(0), mpf(0), 0, xv
+        below = max(0, -_DIRECT_BITS - mp.frexp(xv)[1])  # k_0
+        if below:
+            y = mp.ldexp(xv, below)
+
+            def powers():
+                power, half = y**kernel.lam, mpf(2) ** -kernel.lam
+                rest = half**below  # 2^{-k_0 mu}
+                for j in count():
+                    yield kernel.coef(j) * power * (1 - rest) / (1 - half)
+                    power, half, rest = power * y, half / 2, mp.ldexp(rest, -below)
+
+            near = _ratio_sum(powers(), lambda i, t: kernel.growth(i - 1) * y, ctx, "g_direct")
+            total = below * kernel.f(mpf(0)) + near.value.value
+            tail, k = near.tail_bound.value, near.terms_used
         while y < 2 ** (_DIRECT_BITS - 1):
             y *= 2
             total += kernel.f(y)
             k += 1
-        far = _far_dilate(kernel, y, ctx, "g_direct")
-        return SeriesValue(wrap(total + far.value.value, ctx), far.tail_bound, k + far.terms_used)
+        far = _far_end(kernel, y, _per_dilate, ctx, "g_direct")
+        return SeriesValue(wrap(total + far.value.value, ctx),
+                           wrap(tail + far.tail_bound.value, ctx), k + far.terms_used)
 
 
 def g_expansion(n: int, x, ctx: PrecisionContext) -> SeriesValue:

@@ -161,24 +161,28 @@ class TestQuadratureAgainstClosed:
     @pytest.mark.parametrize("fid,s", [("g2", "0.003"), ("g2", "0.997"),
                                        ("g1", "0.4975"), ("fn3", "0.497")])
     def test_near_strip_edges(self, fid, s, ctx30):
-        # Slow decay on one side makes the span in t thousands wide; the
-        # sinh map still resolves it to 5 digits past the requested ones.
+        # Slow decay on one side: the closed-form ends sum it whole, and
+        # both quadratures hold 5 digits past the requested ones
         numeric = mellin_numeric(fid, Fraction(s), ctx30)
         closed = mellin_closed(fid, Fraction(s), ctx30)
+        harmonic = harmonic_factor_check(fid, Fraction(s), ctx30)
         with mp.workdps(60):
             tol = mpf(10) ** (-(ctx30.digits + 5)) * max(1, abs(closed.value))
             assert abs(numeric.value - closed.value) < tol
+            sv = mpf(Fraction(s).numerator) / Fraction(s).denominator
+            dilated = abs(closed.value) / (2**sv - 1)
+            assert harmonic.abs_err.value < mpf(10) ** (-(ctx30.digits + 5)) * dilated
 
     def test_node_count(self, ctx30, monkeypatch):
-        # folded at x = 1: one read of f(0), then one f call per node pair,
-        # 129 over four levels, each at x >= 1 (225 calls on both sides of
-        # x = 1 unfolded)
+        # folded at x = 1: one read of f(0), then one f call per node pair on
+        # 1 < x <= 2^27, the nodes past it closed from the expansion: 109
+        # over two levels (225 calls on both sides of x = 1 unfolded)
         calls = _counted(monkeypatch, "_g1")
         mellin_numeric("g1", Fraction(1, 8), ctx30)
+        assert len(calls) <= 110
         assert calls.count(0) == 1
-        nodes = [x for x in calls if x != 0]
-        assert len(nodes) <= 129
-        assert min(nodes) >= 1
+        with mp.workdps(60):
+            assert all(1 < x <= 2**27 * (1 + mpf(10) ** -40) for x in calls if x != 0)
 
     def test_threshold_scale(self, ctx30):
         with mp.workdps(45):
@@ -198,15 +202,31 @@ def _trapezoid_values(f, t_left, order=iter):
     return lambda n, h, indices: (f(t_left + j * h) for j in order(indices))
 
 
+def _sech_bound(h):
+    """The strip bound of sech at step h: |sech(t + iy)| <= sech t/cos y, so
+    each line integral, |y| <= a < pi/2, is at most pi/cos a; a = 1.5."""
+    a = mpf("1.5")
+    return 2 * (mp.pi / mp.cos(a)) / (mp.exp(2 * mp.pi * a / h) - 1)
+
+
 class TestRefineTrapezoid:
     def test_known_integral(self):
         # integral of sech over [-80, 80] is pi up to ~1e-34 truncation, with
-        # each level's nodes taken left to right and right to left
+        # each level's nodes taken left to right and right to left; it stops
+        # at h = 1/8, where the bound is ~2e-31, and the error is far below it
         with mp.workdps(45):
             for order in (iter, reversed):
+                steps = []
+
+                def bound(h):
+                    steps.append(h)
+                    return _sech_bound(h)
+
                 got = _refine_trapezoid(_trapezoid_values(mp.sech, mpf(-80), order), 320,
-                                        mpf(1) / 2, mpf(10) ** (-30))
+                                        mpf(1) / 2, mpf(10) ** (-30), bound)
+                assert steps == [mpf(1) / 2, mpf(1) / 4, mpf(1) / 8]
                 assert abs(got - mp.pi) < mpf(10) ** (-28)
+                assert abs(got - mp.pi) <= _sech_bound(steps[-1])
 
     def test_level_cap_raises(self, monkeypatch):
         monkeypatch.setattr(mellin_mod, "_MAX_LEVELS", 1)
@@ -214,14 +234,13 @@ class TestRefineTrapezoid:
             with pytest.raises(ConvergenceError):
                 _refine_trapezoid(
                     _trapezoid_values(lambda t: 1 / (1 + t**2), mpf(-10)), 40,
-                    mpf(1) / 2, mpf(10) ** (-40),
+                    mpf(1) / 2, mpf(10) ** (-40), lambda h: mpf(1),
                 )
 
 
 class TestNodeCap:
-    # A rate-bound span in t over 10^5 steps is refused before any node is
-    # evaluated: steps of 0.5 for mellin_numeric (whose grid is in u), of
-    # ln2/2 for the harmonic check.  At s = 1e-9 it would be ~2e11 steps.
+    # A rate-bound span in t over 5e4 is refused before any node is
+    # evaluated, in both quadratures.  At s = 1e-9 it would be ~1e11.
     def test_mellin_numeric(self, ctx30):
         with pytest.raises(DomainError, match=r"s = 1\.0e-9 .* strip \(0\.0, 1\.0\) of g2"):
             mellin_numeric("g2", Fraction(1, 10**9), ctx30)
@@ -258,7 +277,8 @@ class TestDilateNodes:
         bottom = -mellin_mod._DIRECT_BITS * steps_per_ln2 + (stride - 1)
         with mp.workdps(ctx.working_digits):
             h = mp.ln(2) / steps_per_ln2
-            head = lambda x: mellin_mod._far_dilate(kernel, x, ctx, "test").value.value
+            head = lambda x: mellin_mod._far_end(kernel, x, mellin_mod._per_dilate, ctx,
+                                                 "test").value.value
             nodes = {j: value for j, _, value, _ in
                      _dilate_nodes(g, g(mpf(0)), mpf(1) / 4, h, top, bottom, stride,
                                    steps_per_ln2 // stride, head)}
@@ -364,18 +384,20 @@ class TestHarmonicFactor:
         assert calls.count(0) == 1
         assert all(_in_direct_region(x) for x in calls if x != 0)
 
-    @pytest.mark.parametrize("fid", ["fn120", "fn200"])
-    @pytest.mark.parametrize("s", ["1/8", "1/4"])
+    @pytest.mark.parametrize("s, fid", [("1/8", "fn120"), ("1/4", "fn120"), ("1/8", "fn200"),
+                                        ("1/4", "fn200"), ("1/8", "fn84"), ("1/4", "fn144")])
     def test_stop_relative_to_value(self, fid, s, ctx30):
-        # values of ~1e-38 (fn120) and ~1e-63 (fn200), below an absolute
-        # tolerance of 10^-35: each cell must still hold 30 digits of its own
-        # size, against the Gamma form at +40 digits
+        # values of ~1e-28 (fn84) down to ~1e-63 (fn200), near or below an
+        # absolute tolerance of 10^-35: the transform and the dilate sum's
+        # transform must each still hold 30 digits of their own size,
+        # against the Gamma form at +40 digits
         check = harmonic_factor_check(fid, Fraction(s), ctx30)
-        closed = mellin_closed(fid, Fraction(s), ctx30)
+        transform = mellin_check(fid, Fraction(s), ctx30)
         with mp.workdps(ctx30.working_digits + 40):
             sv = mpf(Fraction(s).numerator) / Fraction(s).denominator
             ref = _closed_reference(fid, sv)
-            err = check.abs_err.value + abs(closed.value - ref) / (2**sv - 1)
+            assert abs(transform.numeric.value - ref) <= mpf(10) ** (-ctx30.digits) * abs(ref)
+            err = check.abs_err.value + abs(transform.closed.value - ref) / (2**sv - 1)
             assert err <= mpf(10) ** (-ctx30.digits) * abs(ref / (2**sv - 1))
 
     @given(fid=st.sampled_from(["g1", "g2", *(f"fn{n}" for n in range(3, 61))]),
@@ -384,16 +406,17 @@ class TestHarmonicFactor:
     def test_any_cell_holds_its_digits(self, fid, step, digits):
         # s = step/100 of each strip (0, 1/2) or (0, 1), kept off the edges
         # that _exp_axis refuses; against the Gamma form at +40 digits, to
-        # 10^-digits of the dilate sum's transform
+        # 10^-digits of the transform and of the dilate sum's transform
         s = Fraction(step, 100) * (1 if fid == "g2" else Fraction(1, 2))
         ctx = PrecisionContext(digits=digits)
         check = harmonic_factor_check(fid, s, ctx)
-        closed = mellin_closed(fid, s, ctx)
+        transform = mellin_check(fid, s, ctx)
         with mp.workdps(ctx.working_digits + 40):
             sv = mpf(s.numerator) / s.denominator
-            ref = _closed_reference(fid, sv) / (2**sv - 1)
-            err = check.abs_err.value + abs(closed.value / (2**sv - 1) - ref)
-            assert err <= mpf(10) ** (-digits) * abs(ref)
+            ref = _closed_reference(fid, sv)
+            assert abs(transform.numeric.value - ref) <= mpf(10) ** (-digits) * abs(ref)
+            err = check.abs_err.value + abs(transform.closed.value - ref) / (2**sv - 1)
+            assert err <= mpf(10) ** (-digits) * abs(ref / (2**sv - 1))
 
 
 def _majorant(function_id, x):
@@ -403,8 +426,23 @@ def _majorant(function_id, x):
     return (mp.sqrt(x) / (1 + x)) ** (int(function_id[2:]) - 2)
 
 
+def _first_level(monkeypatch, route, fid, s, ctx):
+    """The estimate and strip bound of route's first level, step ln2/2: an
+    infinite sum, its ends closed in values, so no node is halved."""
+    seen = []
+
+    def first_level(values, n, h, tol, bound):
+        seen.append((sum(values(n, h, range(n + 1))) * h, bound(h)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(mellin_mod, "_refine_trapezoid", first_level)
+    route(fid, Fraction(s), ctx)
+    (estimate, bound), = seen
+    return estimate, bound
+
+
 class TestStripBound:
-    # harmonic_factor_check stops on 2M/(e^{2 pi a/h} - 1), with M from the
+    # both quadratures stop on 2M/(e^{2 pi a/h} - 1), with M from the
     # majorant |f(e^{t+iy})| <= f~(e^t)/cos(y/2)^c that _kernel holds as the
     # transform of f~ and the exponent c
 
@@ -436,19 +474,20 @@ class TestStripBound:
     def test_bound_covers_first_level(self, fid, s, ctx30, monkeypatch):
         # the first level, step ln2/2, against the Gamma form at +40 digits;
         # its error ~1e-23 is far above the rounding and the ends' streams
-        seen = []
-
-        def first_level(values, n, h, tol, bound):
-            # an infinite sum, its ends closed in values: no node is halved
-            seen.append((sum(values(n, h, range(n + 1))) * h, bound(h)))
-            return seen[-1][0]
-
-        monkeypatch.setattr(mellin_mod, "_refine_trapezoid", first_level)
-        harmonic_factor_check(fid, Fraction(s), ctx30)
-        (estimate, bound), = seen
+        estimate, bound = _first_level(monkeypatch, harmonic_factor_check, fid, s, ctx30)
         with mp.workdps(ctx30.working_digits + 40):
             sv = mpf(Fraction(s).numerator) / Fraction(s).denominator
             err = abs(estimate - _closed_reference(fid, sv) / (2**sv - 1))
+            assert 0 < err <= bound
+
+    @pytest.mark.parametrize("fid", [*FUNCTION_GRID, "fn20", "fn60"])
+    @pytest.mark.parametrize("s", ["1/8", "1/4", "3/8"])
+    def test_transform_bound_covers_first_level(self, fid, s, ctx30, monkeypatch):
+        # the same for mellin_numeric, whose M lacks the 1/(2^s - 1)
+        estimate, bound = _first_level(monkeypatch, mellin_numeric, fid, s, ctx30)
+        with mp.workdps(ctx30.working_digits + 40):
+            sv = mpf(Fraction(s).numerator) / Fraction(s).denominator
+            err = abs(estimate - _closed_reference(fid, sv))
             assert 0 < err <= bound
 
 
@@ -469,7 +508,8 @@ class TestDualRoutes:
             assert check.abs_err.value < bound
 
     @pytest.mark.parametrize("n,x,digits", [(1, "0.1", 200), (1, "1e-30", 30), (1, "1e8", 30),
-                                            (2, "0.45", 200), (2, "1e-30", 30), (2, "1e50", 30)])
+                                            (2, "0.45", 200), (2, "1e-30", 30), (2, "1e50", 30),
+                                            (1, "1e-100", 30), (2, "1e-100", 30)])
     def test_direct_stops_at_first_k_under_tol(self, n, x, digits):
         # against the plain sum of g(2^k x) at +40 digits: the value holds
         # digits + 10 of its own size, and is off by no more than its tail
@@ -500,27 +540,52 @@ class TestDualRoutes:
             assert abs(got.value.value - total) <= mpf(10) ** (-ctx30.digits) * total
 
     @pytest.mark.parametrize("n,x", [(1, "1e-30"), (1, "0.45"), (1, "1e50"), (2, "0.1"),
-                                     (2, "1e50")])
-    def test_direct_tail_bound_covers_truncation(self, n, x, ctx30):
-        # g_direct sums g(2^k x) while 2^k x < 2^27, then F(y), y the last
-        # point summed, as -sum_j a_j y^-(lam + j)/(2^(lam + j) - 1): the moduli
-        # of the power terms past those it used, rebuilt at +40 digits from
-        # the expansions of g1 (atan's) and g2 (the geometric series), sum to
-        # at most its tail bound
+                                     (2, "1e50"), (2, "1e-100")])
+    def test_direct_tail_bound_covers_truncation(self, n, x, ctx30, monkeypatch):
+        # g_direct sums g(2^k x) on 2^-27 <= 2^k x < 2^27.  The k0 points
+        # below come from g's expansion at 0, as
+        # k0 g(0) + sum_j a_j z^mu (1 - 2^(-k0 mu))/(1 - 2^-mu), z = 2^k0 x,
+        # mu = lam + j, and the rest as F(y), y the last point summed, from
+        # -sum_j a_j y^-mu/(2^mu - 1).  For each stream the moduli of the
+        # power terms past those it used, rebuilt at +40 digits from the
+        # expansions of g1 (atan's) and g2 (the geometric series), sum to at
+        # most its tail bound; the reported tail and terms are the streams'
+        # plus one term per g called
+        runs = []
+
+        def spy(*args):
+            runs.append(series_mod._ratio_sum(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(mellin_mod, "_ratio_sum", spy)
         got = g_direct(n, x, ctx30)
         with mp.workdps(ctx30.working_digits + 40):
-            y, direct = mpf(x), 0
+            z, below = mpf(x), 0
+            while 2 * z < mpf(2) ** -27:
+                z, below = 2 * z, below + 1
+            y, direct = z, 0
             while y < 2**26:
                 y, direct = 2 * y, direct + 1
             lam = mpf(1) / 2 if n == 1 else mpf(1)
 
-            def term(j):
-                a = -2 * (-1) ** j / mpf(2 * j + 1) if n == 1 else (-1) ** (j + 1)
-                return a * y ** -(lam + j) / (2 ** (lam + j) - 1)
+            def coef(j):
+                return -2 * (-1) ** j / mpf(2 * j + 1) if n == 1 else (-1) ** (j + 1)
 
-            used = got.terms_used - direct
-            dropped = sum(abs(term(j)) for j in range(used, used + 40))
-            assert 0 < dropped <= got.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+            def near_term(j):
+                mu = lam + j
+                return coef(j) * z**mu * (1 - mpf(2) ** (-below * mu)) / (1 - mpf(2) ** -mu)
+
+            def far_term(j):
+                return coef(j) * y ** -(lam + j) / (2 ** (lam + j) - 1)
+
+            assert len(runs) == (2 if below else 1)
+            for run, term in zip(runs[::-1], (far_term, near_term)):
+                used = run.terms_used
+                dropped = sum(abs(term(j)) for j in range(used, used + 40))
+                assert 0 < dropped <= run.tail_bound.value * (1 + mpf(10) ** (-ctx30.digits))
+        assert got.terms_used == direct + sum(run.terms_used for run in runs)
+        with mp.workdps(ctx30.working_digits):
+            assert got.tail_bound.value == sum((run.tail_bound.value for run in runs), mpf(0))
 
     @pytest.mark.parametrize("n,x", [(1, "0.45"), (1, "1e-30"), (2, "0.3"), (2, "0.1")])
     def test_expansion_tails_cover_truncation(self, n, x, ctx30, monkeypatch):
@@ -569,12 +634,19 @@ class TestDualRoutes:
         with pytest.raises(ConvergenceError, match="g_expansion stalled"):
             g_expansion(1, "0.3", ctx30)
 
-    def test_direct_term_cap_refused_up_front(self, ctx30):
-        # ~1.3e5 terms needed, over the cap of 1e5: refused without summing
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_direct_far_left_from_expansion(self, n, ctx30):
+        # ~1.3e5 points 2^k x below 2^-27 are summed from g's expansion at 0,
+        # not term by term: the value agrees with the residue expansion to
+        # 10^-digits of its size, within a second
         start = time.perf_counter()
-        with pytest.raises(ConvergenceError, match="over the cap"):
-            g_direct(2, mpf(10) ** -40000, ctx30)
-        assert time.perf_counter() - start < 1
+        direct = g_direct(n, mpf(10) ** -40000, ctx30)
+        elapsed = time.perf_counter() - start
+        expansion = g_expansion(n, mpf(10) ** -40000, ctx30)
+        with mp.workdps(ctx30.working_digits):
+            gap = abs(direct.value.value - expansion.value.value)
+            assert gap <= mpf(10) ** (-ctx30.digits) * abs(expansion.value.value)
+        assert elapsed < 1
 
     @pytest.mark.parametrize("route,x", [(g_direct, 1), (g_expansion, "0.3")],
                              ids=["g_direct", "g_expansion"])
